@@ -27,7 +27,7 @@
 // exhaust their budget, and graceful drain on SIGINT/SIGTERM. A killed
 // server restarted with the same -cache-dir resumes its campaigns. -remote
 // points a sweep at such a server: cells execute farm-side, progress streams
-// from the farm's telemetry, and the tables, figures, and CSVs come out
+// from the farm's /farm counters, and the tables, figures, and CSVs come out
 // byte-identical to a local run.
 package main
 
@@ -50,7 +50,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/prof"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -68,7 +67,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write the matrix cells as CSV to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		serve    = flag.String("serve", "", "run as a sweep-farm server on this address (e.g. localhost:6070) instead of sweeping locally; endpoints: /jobs, /matrix, /quarantine, /farm, /telemetry, /metrics, /debug/vars")
+		serve    = flag.String("serve", "", "run as a sweep-farm server on this address (e.g. localhost:6070) instead of sweeping locally; endpoints: /jobs, /matrix, /quarantine, /farm, /metrics, /metrics.json, /debug/vars")
 		deadline = flag.Duration("run-deadline", 0, "host wall-time deadline per individual run; an exceeding run becomes an isolated failure instead of hanging the sweep (0 = none)")
 
 		benchList   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
@@ -411,12 +410,9 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 	if err != nil {
 		cliutil.Usage(err)
 	}
-	live := trace.NewLive()
-	live.Publish() // expvar: /debug/vars
 	cfg := farm.Config{
 		Retry:       farm.DefaultRetryPolicy(),
 		JobDeadline: jobDeadline,
-		Telemetry:   live,
 		Metrics:     metrics.NewRegistry(),
 	}
 	if store != nil {
@@ -429,7 +425,7 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 
 	mux := http.NewServeMux()
 	mux.Handle("/", fs.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/debug/vars", expvar.Handler()) // Go runtime memstats
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           mux,
@@ -456,7 +452,7 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 		_ = srv.Shutdown(shutCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "clearbench: farm serving on http://%s (POST /matrix, GET /farm, /quarantine, /telemetry, /metrics)\n", addr)
+	fmt.Fprintf(os.Stderr, "clearbench: farm serving on http://%s (POST /matrix, GET /farm, /quarantine, /metrics, /metrics.json)\n", addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		cliutil.Fatal(err)
 	}
@@ -465,7 +461,7 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 		st.Done, st.Failed, st.Quarantined, st.Executed, st.CacheHits, st.RetriesScheduled, st.DedupAttached)
 }
 
-// startRemoteProgress streams sweep progress from the farm's live telemetry
+// startRemoteProgress streams sweep progress from the farm's /farm counters
 // to stderr until the returned (idempotent) stop function is called.
 func startRemoteProgress(client *farm.Client) func() {
 	done := make(chan struct{})
@@ -483,13 +479,9 @@ func startRemoteProgress(client *farm.Client) func() {
 				if err != nil {
 					continue
 				}
-				snap, err := client.Telemetry()
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "clearbench: farm %d/%d jobs done (%d running, %d queued, %d backoff, %d quarantined) | %d runs finished, %d cache hits\n",
+				fmt.Fprintf(os.Stderr, "clearbench: farm %d/%d jobs done (%d running, %d queued, %d backoff, %d quarantined) | %d executed, %d cache hits\n",
 					st.Done, st.Total(), st.Running, st.Queued, st.Backoff, st.Quarantined,
-					snap.RunsFinished, snap.CacheHits)
+					st.Executed, st.CacheHits)
 			}
 		}
 	}()

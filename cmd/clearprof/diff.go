@@ -61,7 +61,7 @@ func summarizeProfile(label string, p *trace.Profile) *summary {
 	for b := htm.Bucket(0); b < htm.NumBuckets; b++ {
 		s.add("aborts/"+b.String(), float64(byBucket[b]))
 	}
-	for r := htm.AbortReason(0); r <= htm.AbortSpurious; r++ {
+	for r := htm.AbortReason(0); r < htm.NumAbortReasons; r++ {
 		if n, ok := p.AbortsByReason[r]; ok {
 			s.add("aborts-by-reason/"+r.String(), float64(n))
 		}

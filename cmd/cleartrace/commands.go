@@ -117,7 +117,7 @@ func filterFlags(fs *flag.FlagSet) func(meta trace.Meta) (trace.Filter, error) {
 			f.ProgID = id
 		}
 		if *reason != "" {
-			r, ok := reasonFromString(*reason)
+			r, ok := htm.ParseAbortReason(*reason)
 			if !ok {
 				return f, fmt.Errorf("unknown abort reason %q", *reason)
 			}
@@ -152,16 +152,9 @@ func knownARs(meta trace.Meta) string {
 	return strings.Join(names, ", ")
 }
 
-func reasonFromString(s string) (htm.AbortReason, bool) {
-	for r := htm.AbortReason(1); r <= htm.AbortDeviation; r++ {
-		if r.String() == s {
-			return r, true
-		}
-	}
-	return htm.AbortNone, false
-}
-
-// cmdSummary prints headline counts.
+// cmdSummary prints headline counts. The commit, abort, and per-AR tallies
+// come from trace.BuildProfile, so they match clearprof and the run's own
+// statistics.
 func cmdSummary(args []string) error {
 	fs := flag.NewFlagSet("cleartrace summary", flag.ExitOnError)
 	fs.Parse(args)
@@ -169,11 +162,11 @@ func cmdSummary(args []string) error {
 	if err != nil {
 		return err
 	}
-	tl := trace.BuildTimeline(meta, evs)
+	p := trace.BuildProfile(meta, evs)
 	fmt.Printf("trace            %s\n", fs.Arg(0))
 	fmt.Printf("benchmark        %s   config %s   cores %d   seed %d\n",
 		meta.Benchmark, meta.Config, meta.Cores, meta.Seed)
-	fmt.Printf("events           %d   last tick %d\n", len(evs), uint64(tl.LastTick))
+	fmt.Printf("events           %d   last tick %d\n", len(evs), uint64(p.LastTick))
 	kinds := make(map[trace.Kind]int)
 	for _, e := range evs {
 		kinds[e.Kind]++
@@ -185,29 +178,24 @@ func cmdSummary(args []string) error {
 		}
 	}
 	fmt.Println("commits by mode:")
-	cm := tl.CommitsByMode()
-	modes := make([]int, 0, len(cm))
-	for m := range cm {
-		modes = append(modes, int(m))
-	}
-	sort.Ints(modes)
-	for _, m := range modes {
-		fmt.Printf("  %-14s %8d\n", stats.CommitMode(m), cm[stats.CommitMode(m)])
+	for m := stats.CommitMode(0); m < stats.NumCommitModes; m++ {
+		if n := p.CommitsByMode[m]; n > 0 {
+			fmt.Printf("  %-14s %8d\n", m, n)
+		}
 	}
 	fmt.Println("aborts by reason:")
-	ab := tl.AbortsByReason()
-	rs := make([]int, 0, len(ab))
-	for r := range ab {
-		rs = append(rs, int(r))
+	reasons := make([]htm.AbortReason, 0, len(p.AbortsByReason))
+	for r := range p.AbortsByReason {
+		reasons = append(reasons, r)
 	}
-	sort.Ints(rs)
-	for _, r := range rs {
-		fmt.Printf("  %-18s %8d\n", htm.AbortReason(r), ab[htm.AbortReason(r)])
+	sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
+	for _, r := range reasons {
+		fmt.Printf("  %-18s %8d\n", r, p.AbortsByReason[r])
 	}
 	fmt.Println("per atomic region:")
-	for _, a := range tl.PerAR() {
+	for _, a := range p.ARs {
 		fmt.Printf("  %-28s attempts %6d  commits %6d  aborts %6d  ticks %10d  lock-wait %8d\n",
-			a.Name, a.Attempts, a.Commits, a.Aborts, uint64(a.TotalTicks), uint64(a.LockWaitTicks))
+			a.Name, a.Attempts, a.Commits, a.Aborts, uint64(a.CommittedTicks+a.AbortedTicks), uint64(a.LockWaitTicks))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Mode is a core's current execution mode.
@@ -48,6 +49,23 @@ func (m Mode) String() string {
 		return "fallback"
 	}
 	return "unknown"
+}
+
+// CommitMode maps the execution mode at commit to the stats commit mode
+// (Figure 12): a failed-discovery attempt that commits counts as
+// speculative. ok is false for modes that cannot commit.
+func (m Mode) CommitMode() (mode stats.CommitMode, ok bool) {
+	switch m {
+	case ModeSpeculative, ModeFailedDiscovery:
+		return stats.CommitSpeculative, true
+	case ModeSCL:
+		return stats.CommitSCL, true
+	case ModeNSCL:
+		return stats.CommitNSCL, true
+	case ModeFallback:
+		return stats.CommitFallback, true
+	}
+	return 0, false
 }
 
 type storeEntry struct {

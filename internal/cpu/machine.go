@@ -171,7 +171,7 @@ type Machine struct {
 
 	// probe, when non-nil, observes attempt lifecycle events (see Probe in
 	// probe.go). Nil by default: notification sites pay one pointer
-	// comparison. Multiple observers (oracle, tracer, telemetry) attach via
+	// comparison. Multiple observers (oracle, tracer, metrics) attach via
 	// AddProbe, which tees them.
 	probe Probe
 

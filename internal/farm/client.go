@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/trace"
 )
 
 // Client talks to a farm server. The zero knobs are production defaults;
@@ -189,14 +188,6 @@ func (c *Client) QuarantineReport() ([]JobStatus, error) {
 	var q []JobStatus
 	err := c.do(http.MethodGet, "/quarantine", nil, &q)
 	return q, err
-}
-
-// Telemetry fetches the server's live telemetry snapshot (the same payload
-// local -serve mode exposes), for progress streaming during a remote sweep.
-func (c *Client) Telemetry() (trace.LiveSnapshot, error) {
-	var snap trace.LiveSnapshot
-	err := c.do(http.MethodGet, "/telemetry", nil, &snap)
-	return snap, err
 }
 
 // Runner adapts the client into the harness's per-cell execution seam: a

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/runstore"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // quickSpec is a tiny valid spec; tests pair it with fake executors, so only
@@ -292,7 +292,6 @@ func TestFarmDrain(t *testing.T) {
 
 func TestFarmStoreResume(t *testing.T) {
 	store := runstore.NewMem()
-	live := trace.NewLive()
 	a := NewServer(Config{Workers: 1, Retry: fastRetry(), Store: store, Exec: okExec})
 	st, err := a.Submit(quickSpec(1))
 	if err != nil {
@@ -314,7 +313,7 @@ func TestFarmStoreResume(t *testing.T) {
 
 	// A fresh server over the same store serves the spec without executing:
 	// this lookup is exactly what makes a killed farm resume.
-	b := NewServer(Config{Workers: 1, Retry: fastRetry(), Store: store, Telemetry: live,
+	b := NewServer(Config{Workers: 1, Retry: fastRetry(), Store: store,
 		Exec: func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure) {
 			t.Error("resumed server re-executed a memoized spec")
 			return okExec(p)
@@ -334,14 +333,16 @@ func TestFarmStoreResume(t *testing.T) {
 	if string(fin2.Result) != string(fin.Result) {
 		t.Fatal("resumed result bytes differ from the original execution")
 	}
-	if snap := live.Snapshot(); snap.CacheHits != 1 {
-		t.Fatalf("telemetry cache hits = %d, want 1", snap.CacheHits)
+	if hits := b.Stats().CacheHits; hits != 1 {
+		t.Fatalf("farm cache hits = %d, want 1", hits)
 	}
 }
 
 func TestFarmHTTPAndClient(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Instruments()
 	srv := NewServer(Config{Workers: 2, Retry: fastRetry(), Store: runstore.NewMem(),
-		Telemetry: trace.NewLive(), Exec: okExec})
+		Metrics: reg, Exec: okExec})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -391,8 +392,12 @@ func TestFarmHTTPAndClient(t *testing.T) {
 	if len(q) != 0 {
 		t.Fatalf("quarantine report has %d entries, want 0", len(q))
 	}
-	if _, err := c.Telemetry(); err != nil {
-		t.Fatalf("telemetry endpoint: %v", err)
+	var snap metrics.Snapshot
+	if err := c.do(http.MethodGet, "/metrics.json", nil, &snap); err != nil {
+		t.Fatalf("metrics endpoint: %v", err)
+	}
+	if len(snap.Counters) == 0 {
+		t.Fatal("/metrics.json served no counters")
 	}
 	if _, err := c.Status("no-such-key"); err == nil ||
 		!strings.Contains(err.Error(), "404") {

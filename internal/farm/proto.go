@@ -25,7 +25,7 @@ import (
 
 // JobSpec is the wire form of one run submission: a flat JSON mirror of the
 // digest-affecting run parameters (the same field set runstore.RunSpec
-// canonicalizes). Host-side knobs — deadlines, telemetry, tracing — are
+// canonicalizes). Host-side knobs — deadlines, metrics, tracing — are
 // deliberately absent: the server owns those, and they never change the
 // simulated outcome or the cache key.
 type JobSpec struct {
@@ -93,7 +93,7 @@ func policyWire(s policy.Spec) string {
 }
 
 // Params validates the spec and resolves it into run parameters. Host-side
-// fields (deadline, telemetry) are left zero for the server to fill in.
+// fields (deadline, metrics) are left zero for the server to fill in.
 func (s JobSpec) Params() (harness.RunParams, error) {
 	if s.Benchmark == "" {
 		return harness.RunParams{}, fmt.Errorf("farm: job spec has no benchmark")

@@ -16,7 +16,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/runstore"
-	"repro/internal/trace"
 )
 
 // ErrDraining is returned by Submit once Drain has begun: the server finishes
@@ -42,9 +41,6 @@ type Config struct {
 	// JobDeadline bounds each job's host wall time (0 = unbounded); an
 	// expiry is a retryable RunFailure, not a wedged worker.
 	JobDeadline time.Duration
-	// Telemetry, when non-nil, is attached to every executed run and
-	// served at /telemetry — the same live collector local sweeps use.
-	Telemetry *trace.Live
 	// Metrics, when non-nil, is attached to every executed run and served
 	// at /metrics (Prometheus text) and /metrics.json.
 	Metrics *metrics.Registry
@@ -143,7 +139,6 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	params.Deadline = s.cfg.JobDeadline
-	params.Telemetry = s.cfg.Telemetry
 	params.Metrics = s.cfg.Metrics
 	key := params.Spec().Key()
 
@@ -410,18 +405,10 @@ func (s *Server) requeue(j *job) {
 // resume), otherwise by executing and persisting the summary.
 func (s *Server) runJob(j *job) (payload []byte, hit bool, fail *harness.RunFailure) {
 	if r, ok := harness.LookupCached(s.cfg.Store, j.params); ok {
-		if t := s.cfg.Telemetry; t != nil {
-			t.CacheHit()
-		}
 		if b, err := harness.EncodeCacheRecord(r); err == nil {
 			return b, true, nil
 		}
 		// Encode of a decoded record cannot fail in practice; recompute.
-	}
-	if s.cfg.Store != nil {
-		if t := s.cfg.Telemetry; t != nil {
-			t.CacheMiss()
-		}
 	}
 	res, fail := s.safeExec(j.params)
 	if fail != nil {
@@ -473,8 +460,8 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 //	GET  /farm        farm-wide counters -> Stats
 //	GET  /healthz     "ok" (or "draining")
 //
-// plus /telemetry and /metrics//metrics.json when the corresponding
-// collectors are configured.
+// plus /metrics (Prometheus text) and /metrics.json when a metrics registry
+// is configured.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -531,9 +518,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	if s.cfg.Telemetry != nil {
-		mux.Handle("GET /telemetry", s.cfg.Telemetry.Handler())
-	}
 	if s.cfg.Metrics != nil {
 		mux.Handle("GET /metrics", s.cfg.Metrics.Handler())
 		mux.Handle("GET /metrics.json", s.cfg.Metrics.JSONHandler())

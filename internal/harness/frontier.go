@@ -21,7 +21,7 @@ type FrontierOptions struct {
 	// Spec is the paper-exact default.
 	Policies []policy.Spec
 	// Base is the matrix template shared by every half: benchmarks,
-	// configs, cores, seeds, retry limits, parallelism, store, telemetry.
+	// configs, cores, seeds, retry limits, parallelism, store, metrics.
 	// Base.Policy and Base.FaultPlan are overwritten per (policy, half).
 	Base MatrixOptions
 	// FaultPreset names the internal/fault preset for the under-faults half

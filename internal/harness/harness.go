@@ -112,13 +112,10 @@ type RunParams struct {
 	// and conflict events are always recorded when TraceWriter is set).
 	TraceMem bool
 	TraceDir bool
-	// Telemetry, when non-nil, attaches the lock-free live counter
-	// collector (safe to share across concurrent runs).
-	Telemetry *trace.Live
 	// Metrics, when non-nil, attaches the internal/metrics instrument set
 	// (counters, gauges, log2 histograms) to the run through the same tee
 	// seams. The registry may be shared across concurrent runs; series
-	// aggregate. Digest-transparent, like the tracer and telemetry.
+	// aggregate. Digest-transparent, like the tracer.
 	Metrics *metrics.Registry
 	// Deadline bounds the *host* wall time of the run; zero means no
 	// deadline. Exceeding it stops the event loop with an error — the sweep
@@ -204,8 +201,8 @@ func Run(p RunParams) (*RunResult, error) {
 	}
 	machine.AttachFeeds(feeds)
 	// Attachment order matters: the oracle claims the probe/observer slots
-	// with Set*, so it must attach first; the tracer and telemetry attach
-	// afterwards through the Add* tee seams.
+	// with Set*, so it must attach first; the tracer and metrics collector
+	// attach afterwards through the Add* tee seams.
 	var oracle *check.Oracle
 	if p.Oracle {
 		oracle = check.Attach(machine)
@@ -224,11 +221,6 @@ func Run(p RunParams) (*RunResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: attach tracer: %w", err)
 		}
-	}
-	if p.Telemetry != nil {
-		machine.AddProbe(p.Telemetry)
-		p.Telemetry.RunStarted()
-		defer p.Telemetry.RunFinished()
 	}
 	if p.Metrics != nil {
 		metrics.Attach(machine, p.Metrics)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/runstore"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -41,10 +40,6 @@ type MatrixOptions struct {
 	// FaultPlan, when non-nil, is attached to every run of the sweep — the
 	// "under faults" half of a policy-frontier comparison.
 	FaultPlan *fault.Plan
-	// Telemetry, when non-nil, is attached to every run of the sweep; its
-	// atomic counters make it safe to share across the parallel workers
-	// (the clearbench -serve live endpoint feeds from it).
-	Telemetry *trace.Live
 	// Metrics, when non-nil, is attached to every run of the sweep; the
 	// registry's series are all atomics, so one registry aggregates across
 	// the parallel workers (the -serve /metrics endpoint feeds from it).
@@ -284,7 +279,6 @@ func runCell(opts MatrixOptions, bench string, cfg ConfigID, retry int) (agg *Ag
 			MaxTicks:                     opts.MaxTicks,
 			DisableDiscoveryContinuation: opts.DisableDiscoveryContinuation,
 			SCLLockAllReads:              opts.SCLLockAllReads,
-			Telemetry:                    opts.Telemetry,
 			Metrics:                      opts.Metrics,
 			Deadline:                     opts.RunDeadline,
 			Policy:                       opts.Policy,

@@ -42,8 +42,8 @@ func TestMetricsDigestTransparency(t *testing.T) {
 }
 
 // TestMetricsCoexistence attaches every observer at once — oracle, tracer,
-// telemetry, and metrics all share the probe/observer tee — and asserts the
-// digest still matches a bare run while each collector does its job.
+// and metrics all share the probe/observer tee — and asserts the digest
+// still matches a bare run while each collector does its job.
 func TestMetricsCoexistence(t *testing.T) {
 	p := traceParams("hashmap", ConfigC)
 	plain, err := Run(p)
@@ -53,7 +53,6 @@ func TestMetricsCoexistence(t *testing.T) {
 	var buf bytes.Buffer
 	p.Oracle = true
 	p.TraceWriter = &buf
-	p.Telemetry = trace.NewLive()
 	p.Metrics = metrics.NewRegistry()
 	all, err := Run(p)
 	if err != nil {
@@ -137,19 +136,30 @@ func TestMetricsMatchStats(t *testing.T) {
 
 // TestProfileCrossCheck is the acceptance criterion of the attribution
 // profiler: build the offline contention profile from a real 4-core
-// contention trace and require its totals — commits per mode, aborts per
-// reason bucket, and the attribution-edge counts — to exactly cross-check
-// against the run's statistics. Every abort the stats collector counted
-// must appear in the abort-attribution table, attributed to some culprit.
+// contention trace and require its totals — commits, invocations, commits
+// per mode, aborts per reason bucket, and the attribution-edge counts — to
+// exactly cross-check against the run's statistics. Every abort the stats
+// collector counted must appear in the abort-attribution table, attributed
+// to some culprit.
 func TestProfileCrossCheck(t *testing.T) {
+	crossCheckProfiles(t, func(bench string, cfg ConfigID) RunParams {
+		p := DefaultRunParams(bench, cfg)
+		p.Cores = 4
+		p.OpsPerThread = 48
+		p.Seed = 11
+		return p
+	})
+}
+
+// crossCheckProfiles records one trace per (benchmark, configuration) cell
+// of the contention benchmarks and requires trace.Profile.CrossCheck to
+// pass against the run's own statistics.
+func crossCheckProfiles(t *testing.T, params func(string, ConfigID) RunParams) {
 	for _, bench := range []string{"hashmap", "intruder", "sorted-list"} {
 		for _, cfg := range AllConfigs {
 			bench, cfg := bench, cfg
 			t.Run(bench+"/"+cfg.String(), func(t *testing.T) {
-				p := DefaultRunParams(bench, cfg)
-				p.Cores = 4
-				p.OpsPerThread = 48
-				p.Seed = 11
+				p := params(bench, cfg)
 				var buf bytes.Buffer
 				p.TraceWriter = &buf
 				res, err := Run(p)

@@ -20,8 +20,8 @@ func cacheSalt() string {
 
 // Spec returns the canonical, versioned cache spec of the run: the flat
 // runstore mirror of every digest-affecting parameter plus the code-version
-// salt. Host-side knobs (trace writers, telemetry, wall deadlines) are
-// deliberately excluded — they never change the simulated outcome.
+// salt. Host-side knobs (trace writers, metrics registries, wall deadlines)
+// are deliberately excluded — they never change the simulated outcome.
 //
 // A reflection test (TestRunParamsSpecCoverage) pins the RunParams field set,
 // so adding a field without classifying it here fails loudly.
@@ -167,21 +167,14 @@ func StoreCached(st runstore.Backend, res *RunResult) error {
 
 // RunCheckedCached is RunChecked behind the run cache: it consults st before
 // simulating and persists the summary of a successful simulation afterwards.
-// hit reports whether the result was served from the cache. Cache-hit and
-// miss events are also surfaced through p.Telemetry when attached. A store
-// write failure is deliberately non-fatal (the result is still correct, only
+// hit reports whether the result was served from the cache. A store write
+// failure is deliberately non-fatal (the result is still correct, only
 // un-memoized); the error is folded into nothing because every consumer
 // would ignore it — a persistently unwritable store surfaces through the
 // sweep's 0% hit rate instead.
 func RunCheckedCached(st runstore.Backend, p RunParams) (res *RunResult, fail *RunFailure, hit bool) {
 	if r, ok := LookupCached(st, p); ok {
-		if p.Telemetry != nil {
-			p.Telemetry.CacheHit()
-		}
 		return r, nil, true
-	}
-	if st != nil && p.Cacheable() && p.Telemetry != nil {
-		p.Telemetry.CacheMiss()
 	}
 	res, fail = RunChecked(p)
 	if fail == nil {

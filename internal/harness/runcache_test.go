@@ -32,7 +32,7 @@ var (
 		"Watchdog", "FaultPlan", "Policy",
 	}
 	specHostSide = []string{
-		"TraceWriter", "TraceMem", "TraceDir", "Telemetry", "Metrics", "Deadline",
+		"TraceWriter", "TraceMem", "TraceDir", "Metrics", "Deadline",
 	}
 )
 

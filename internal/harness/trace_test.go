@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/metrics"
 )
 
 // traceParams is the shared small-run configuration of the trace tests.
@@ -82,6 +81,14 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesStats pins the event stream to the ground truth the
+// paper's figures are built from: at the trace tests' 8-core point, the
+// offline profile of every recorded run must cross-check exactly against
+// the run's own statistics (see TestProfileCrossCheck for the 4-core point).
+func TestTraceMatchesStats(t *testing.T) {
+	crossCheckProfiles(t, traceParams)
+}
+
 // TestTraceOracleCoexistence asserts the tracer and the invariant oracle
 // can share the probe/observer seams (the tee path): attaching both leaves
 // the statistics digest unchanged and both do their jobs.
@@ -94,84 +101,18 @@ func TestTraceOracleCoexistence(t *testing.T) {
 	var buf bytes.Buffer
 	p.Oracle = true
 	p.TraceWriter = &buf
-	p.Telemetry = trace.NewLive()
+	p.Metrics = metrics.NewRegistry()
 	both, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1, d2 := digestOf(plain), digestOf(both); d1 != d2 {
-		t.Fatalf("oracle+tracer+telemetry perturbed the run:\n off: %s\n on:  %s", d1, d2)
+		t.Fatalf("oracle+tracer+metrics perturbed the run:\n off: %s\n on:  %s", d1, d2)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("tracer wrote nothing with oracle attached")
 	}
-	snap := p.Telemetry.Snapshot()
-	if snap.Commits == 0 || snap.RunsFinished != 1 {
-		t.Fatalf("telemetry did not observe the run: %+v", snap)
-	}
-}
-
-// TestTraceMatchesStats is the acceptance cross-check: the per-mode commit
-// counts reconstructed from the trace stream must exactly equal the
-// internal/stats aggregates of the same run, and the abort total must
-// match. This pins the event stream to the ground truth the paper's
-// figures are built from.
-func TestTraceMatchesStats(t *testing.T) {
-	for _, bench := range []string{"sorted-list", "intruder", "hashmap"} {
-		for _, cfg := range AllConfigs {
-			bench, cfg := bench, cfg
-			t.Run(bench+"/"+cfg.String(), func(t *testing.T) {
-				p := traceParams(bench, cfg)
-				var buf bytes.Buffer
-				p.TraceWriter = &buf
-				res, err := Run(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				evs, err := rd.ReadAll()
-				if err != nil {
-					t.Fatal(err)
-				}
-				tl := trace.BuildTimeline(rd.Meta(), evs)
-				got := tl.CommitsByMode()
-				var total int
-				for m := stats.CommitSpeculative; m < stats.NumCommitModes; m++ {
-					want := int(res.Stats.CommitsByMode[m])
-					if got[m] != want {
-						t.Errorf("commits[%s]: trace says %d, stats say %d", m, got[m], want)
-					}
-					total += got[m]
-				}
-				if total != int(res.Stats.Commits) {
-					t.Errorf("total commits: trace says %d, stats say %d", total, res.Stats.Commits)
-				}
-				// Abort events (including the no-attempt explicit-fallback
-				// episodes, which open no span) must equal the stats total.
-				var aborts int
-				for _, e := range evs {
-					if e.Kind == trace.KindAttemptEnd {
-						aborts++
-					}
-				}
-				if aborts != int(res.Stats.Aborts) {
-					t.Errorf("total aborts: trace says %d, stats say %d", aborts, res.Stats.Aborts)
-				}
-				// Invocation events must equal the commit total (every
-				// invocation commits exactly once).
-				var invokes int
-				for _, e := range evs {
-					if e.Kind == trace.KindInvocationStart {
-						invokes++
-					}
-				}
-				if invokes != int(res.Stats.Commits) {
-					t.Errorf("invocations: trace says %d, stats say %d commits", invokes, res.Stats.Commits)
-				}
-			})
-		}
+	if got := p.Metrics.Instruments().Invocations.Value(); got != both.Stats.Commits {
+		t.Fatalf("registry counted %d invocations alongside the oracle, stats %d commits", got, both.Stats.Commits)
 	}
 }

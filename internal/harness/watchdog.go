@@ -89,7 +89,7 @@ type Watchdog struct {
 }
 
 // AttachWatchdog hooks a watchdog into m via AddProbe/AddObserver (composing
-// with an oracle, tracer, or telemetry already attached).
+// with an oracle, tracer, or metrics collector already attached).
 func AttachWatchdog(m *cpu.Machine, cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{
 		cfg:   cfg.withDefaults(),

@@ -36,7 +36,20 @@ const (
 	// internal/fault injector. Counts toward the retry limit like any
 	// non-fallback abort.
 	AbortSpurious
+	// NumAbortReasons is the enum size (sentinel; not a reason).
+	NumAbortReasons
 )
+
+// ParseAbortReason inverts String for the named reasons (AbortNone
+// excluded).
+func ParseAbortReason(s string) (AbortReason, bool) {
+	for r := AbortNone + 1; r < NumAbortReasons; r++ {
+		if r.String() == s {
+			return r, true
+		}
+	}
+	return AbortNone, false
+}
 
 func (r AbortReason) String() string {
 	switch r {

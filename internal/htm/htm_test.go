@@ -22,6 +22,22 @@ func TestAbortBuckets(t *testing.T) {
 	}
 }
 
+// TestParseAbortReason round-trips every named reason through String and
+// ParseAbortReason, and rejects names outside the enum.
+func TestParseAbortReason(t *testing.T) {
+	for r := AbortNone + 1; r < NumAbortReasons; r++ {
+		got, ok := ParseAbortReason(r.String())
+		if !ok || got != r {
+			t.Errorf("ParseAbortReason(%q) = %v, %v; want %v", r.String(), got, ok, r)
+		}
+	}
+	for _, s := range []string{"unknown", "none", ""} {
+		if r, ok := ParseAbortReason(s); ok {
+			t.Errorf("ParseAbortReason(%q) = %v, want rejection", s, r)
+		}
+	}
+}
+
 // TestRetryCounting: fallback-related aborts do not push an AR toward the
 // fallback path (§7: "certain types of aborts do not increase the counter").
 func TestRetryCounting(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 )
 
 // numReasons is the size of the per-reason abort counter array: the named
-// enum plus one catch-all slot for reasons the enum may grow past.
-const numReasons = int(htm.AbortSpurious) + 2
+// enum plus one catch-all slot for out-of-range reasons.
+const numReasons = int(htm.NumAbortReasons) + 1
 
 // reasonOverflow is the catch-all slot index.
 const reasonOverflow = numReasons - 1
@@ -145,7 +145,7 @@ type Collector struct {
 
 // Attach creates a Collector over reg's standard instruments and hooks it
 // into m's probe and directory-observer seams (via AddProbe/AddObserver,
-// composing with an attached oracle, tracer, or telemetry collector).
+// composing with an attached oracle or tracer).
 func Attach(m *cpu.Machine, reg *Registry) *Collector {
 	c := &Collector{
 		ins:    reg.Instruments(),
@@ -226,7 +226,7 @@ func (c *Collector) OnCommit(info cpu.CommitInfo) {
 		c.ins.AttemptTicksCommit.Observe(uint64(tick - s.attStart))
 		s.inAtt = false
 	}
-	if m, ok := commitModeOf(info.Mode); ok {
+	if m, ok := info.Mode.CommitMode(); ok {
 		c.ins.Commits[m].Inc()
 	}
 	if s.inInv {
@@ -250,22 +250,6 @@ func (c *Collector) OnMemAccess(core int, addr mem.Addr, value uint64, isWrite b
 
 func (c *Collector) OnConflict(core int, line mem.LineAddr, isWrite bool, requester int) {
 	c.ins.Conflicts.Inc()
-}
-
-// commitModeOf maps the execution mode at commit to the stats commit mode
-// (same mapping as stats collection and the trace timeline).
-func commitModeOf(m cpu.Mode) (stats.CommitMode, bool) {
-	switch m {
-	case cpu.ModeSpeculative, cpu.ModeFailedDiscovery:
-		return stats.CommitSpeculative, true
-	case cpu.ModeSCL:
-		return stats.CommitSCL, true
-	case cpu.ModeNSCL:
-		return stats.CommitNSCL, true
-	case cpu.ModeFallback:
-		return stats.CommitFallback, true
-	}
-	return 0, false
 }
 
 // --- coherence.Observer ---

@@ -4,9 +4,10 @@
 // can be fed from inside the simulation's probe/observer callbacks without
 // perturbing it. Instruments attach to a machine through the same
 // nil-guarded cpu.Probe / coherence.Observer tee seams the tracer uses
-// (see Attach in collector.go), so a registry coexists with the oracle,
-// the tracer, and live telemetry; a detached registry costs the simulation
-// one nil pointer comparison per hook site.
+// (see Attach in collector.go), so a registry coexists with the oracle and
+// the tracer; a detached registry costs the simulation one nil pointer
+// comparison per hook site. It is the one online tally of a run; the
+// offline one is trace.BuildProfile.
 //
 // Exposition: WriteProm renders the Prometheus text format; Snapshot
 // returns a JSON-friendly view with derived quantiles. Both are served by

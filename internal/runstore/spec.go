@@ -37,7 +37,7 @@ const SpecVersion = 1
 // digest-affecting parameters. It intentionally mirrors harness.RunParams
 // field-for-field for everything that changes simulated behaviour, and
 // excludes everything that is host-side or digest-transparent-by-contract
-// (trace writers, telemetry collectors, wall-clock deadlines).
+// (trace writers, metrics registries, wall-clock deadlines).
 type RunSpec struct {
 	Benchmark    string
 	Config       string

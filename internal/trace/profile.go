@@ -272,7 +272,7 @@ func BuildProfile(meta Meta, evs []Event) *Profile {
 			}
 		case KindCommit:
 			p.Commits++
-			if m, ok := commitModeOf(e.Mode()); ok {
+			if m, ok := e.Mode().CommitMode(); ok {
 				p.CommitsByMode[m]++
 			}
 			ar := arOf(e.ProgID())
@@ -445,12 +445,16 @@ func sortLines(m map[mem.LineAddr]*LineProfile) []LineProfile {
 
 // CrossCheck verifies the profile's aggregate accounting against the
 // simulator's own stats.Run for the same run: total commits and aborts,
-// commits per mode, and the per-reason abort totals grouped into the
-// Figure 11 buckets must match exactly. It is the acceptance gate proving
-// the attribution table accounts for every abort the simulator counted.
+// invocations (each commits exactly once), commits per mode, and the
+// per-reason abort totals grouped into the Figure 11 buckets must match
+// exactly. It is the acceptance gate proving the attribution table
+// accounts for every abort the simulator counted.
 func (p *Profile) CrossCheck(run *stats.Run) error {
 	if uint64(p.Commits) != run.Commits {
 		return fmt.Errorf("profile: %d commits, stats counted %d", p.Commits, run.Commits)
+	}
+	if uint64(p.Invocations) != run.Commits {
+		return fmt.Errorf("profile: %d invocations, stats counted %d commits", p.Invocations, run.Commits)
 	}
 	if uint64(p.Aborts) != run.Aborts {
 		return fmt.Errorf("profile: %d aborts, stats counted %d", p.Aborts, run.Aborts)

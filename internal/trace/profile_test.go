@@ -257,27 +257,26 @@ func TestSampleIntervalsDegenerate(t *testing.T) {
 	}
 }
 
-// TestLiveAbortReasonOverflow pins the Live collector's overflow guard: the
-// reason enum must fit below the catch-all slot, and out-of-range reasons
-// (a future enum growth, or corrupt data) land in the visible "overflow"
-// bucket instead of slicing out of bounds or silently vanishing.
-func TestLiveAbortReasonOverflow(t *testing.T) {
-	if int(htm.AbortSpurious) >= abortOverflowBucket {
-		t.Fatalf("htm.AbortReason enum (max %d) no longer fits below the overflow bucket %d; widen abortsByRsn",
-			int(htm.AbortSpurious), abortOverflowBucket)
+// TestProfileCountsSpanlessAborts pins that an explicit-fallback abort
+// without a preceding attempt start (the core found the fallback lock taken
+// before it could begin) is still an abort: in the total, in the per-reason
+// tally, and in its AR's row. A span-based tally misses exactly these.
+func TestProfileCountsSpanlessAborts(t *testing.T) {
+	meta := Meta{Cores: 1, ARNames: map[int]string{1: "alpha"}}
+	evs := []Event{
+		pInvoke(0, 0, 1),
+		pAbort(5, 0, 1, cpu.ModeSpeculative, htm.AbortExplicitFallback),
+		pAttempt(10, 0, 1, cpu.ModeSpeculative),
+		pCommit(20, 0, 1, cpu.ModeSpeculative),
 	}
-	l := NewLive()
-	l.OnAttemptEnd(cpu.AttemptEndInfo{Core: 0, Reason: htm.AbortReason(99)})
-	l.OnAttemptEnd(cpu.AttemptEndInfo{Core: 0, Reason: htm.AbortReason(-1)})
-	l.OnAttemptEnd(cpu.AttemptEndInfo{Core: 0, Reason: htm.AbortMemoryConflict})
-	s := l.Snapshot()
-	if s.Aborts != 3 {
-		t.Fatalf("aborts: %d", s.Aborts)
+	p := BuildProfile(meta, evs)
+	if p.Aborts != 1 || p.AbortsByReason[htm.AbortExplicitFallback] != 1 {
+		t.Fatalf("aborts %d, by reason %v; want the explicit-fallback abort counted", p.Aborts, p.AbortsByReason)
 	}
-	if s.AbortsBy["overflow"] != 2 {
-		t.Fatalf("overflow bucket: %+v", s.AbortsBy)
+	if len(p.ARs) != 1 || p.ARs[0].Aborts != 1 || p.ARs[0].Commits != 1 {
+		t.Fatalf("per-AR row: %+v", p.ARs)
 	}
-	if s.AbortsBy["memory-conflict"] != 1 {
-		t.Fatalf("in-range reason: %+v", s.AbortsBy)
+	if p.AbortedTicks != 0 {
+		t.Fatalf("a spanless abort discards no attempt time, got %d ticks", p.AbortedTicks)
 	}
 }

@@ -1,14 +1,11 @@
 package trace
 
 import (
-	"sort"
-
 	clear "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Outcome classifies how an attempt span ended.
@@ -245,92 +242,4 @@ func BuildTimeline(meta Meta, evs []Event) *Timeline {
 		}
 	}
 	return tl
-}
-
-// CommitsByMode tallies committed spans per stats.CommitMode, the exact
-// shape of stats.Run.CommitsByMode — used to cross-check the trace stream
-// against the simulator's own aggregates.
-func (tl *Timeline) CommitsByMode() map[stats.CommitMode]int {
-	out := make(map[stats.CommitMode]int)
-	for _, s := range tl.Spans {
-		if s.Outcome != OutcomeCommit {
-			continue
-		}
-		if m, ok := commitModeOf(s.EndMode); ok {
-			out[m]++
-		}
-	}
-	return out
-}
-
-// commitModeOf maps an execution mode at commit to the stats commit mode.
-func commitModeOf(m cpu.Mode) (stats.CommitMode, bool) {
-	switch m {
-	case cpu.ModeSpeculative, cpu.ModeFailedDiscovery:
-		return stats.CommitSpeculative, true
-	case cpu.ModeSCL:
-		return stats.CommitSCL, true
-	case cpu.ModeNSCL:
-		return stats.CommitNSCL, true
-	case cpu.ModeFallback:
-		return stats.CommitFallback, true
-	}
-	return 0, false
-}
-
-// AbortsByReason tallies aborted spans per abort reason.
-func (tl *Timeline) AbortsByReason() map[htm.AbortReason]int {
-	out := make(map[htm.AbortReason]int)
-	for _, s := range tl.Spans {
-		if s.Outcome == OutcomeAbort {
-			out[s.Reason]++
-		}
-	}
-	return out
-}
-
-// ARSummary aggregates the spans of one AR program.
-type ARSummary struct {
-	ProgID   int
-	Name     string
-	Commits  int
-	Aborts   int
-	Attempts int
-	// TotalTicks is the summed duration of closed spans.
-	TotalTicks sim.Tick
-	// LockWaitTicks is the summed duration of lock-wait edges.
-	LockWaitTicks sim.Tick
-}
-
-// PerAR aggregates the timeline per AR program id, sorted by id.
-func (tl *Timeline) PerAR() []ARSummary {
-	byID := make(map[int]*ARSummary)
-	var order []int
-	for _, s := range tl.Spans {
-		a, ok := byID[s.ProgID]
-		if !ok {
-			a = &ARSummary{ProgID: s.ProgID, Name: tl.Meta.ARName(s.ProgID)}
-			byID[s.ProgID] = a
-			order = append(order, s.ProgID)
-		}
-		a.Attempts++
-		switch s.Outcome {
-		case OutcomeCommit:
-			a.Commits++
-		case OutcomeAbort:
-			a.Aborts++
-		}
-		a.TotalTicks += s.Duration()
-		for _, w := range s.Waits {
-			if w.End > w.Start {
-				a.LockWaitTicks += w.End - w.Start
-			}
-		}
-	}
-	sort.Ints(order)
-	out := make([]ARSummary, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out
 }

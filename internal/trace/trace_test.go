@@ -238,7 +238,7 @@ func TestTimelineLockWaits(t *testing.T) {
 	if w.Line != 5 || w.Holder != 0 || !w.Acquired {
 		t.Fatalf("wait edge mismatch: %+v", w)
 	}
-	per := tl.PerAR()
+	per := BuildProfile(meta, evs).ARs
 	if len(per) != 2 || per[0].Name != "alpha" || per[1].Name != "beta" {
 		t.Fatalf("per-AR mismatch: %+v", per)
 	}
@@ -428,27 +428,5 @@ func BenchmarkTracerEmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.OnMemAccess(0, mem.Addr(i), uint64(i), i&1 == 0, cpu.ModeSpeculative)
-	}
-}
-
-// TestLivable checks the live collector counts and snapshots.
-func TestLiveCounters(t *testing.T) {
-	l := NewLive()
-	l.RunStarted()
-	l.OnInvocationStart(0, 1)
-	l.OnAttemptStart(0, cpu.ModeSpeculative, 0, nil)
-	l.OnAttemptEnd(cpu.AttemptEndInfo{Core: 0, Reason: htm.AbortMemoryConflict})
-	l.OnAttemptStart(0, cpu.ModeSCL, 1, nil)
-	l.OnCommit(cpu.CommitInfo{Core: 0, Mode: cpu.ModeSCL})
-	l.OnConflict(0, 5, true, 1)
-	l.OnMemAccess(0, 0x40, 1, false, cpu.ModeSpeculative)
-	l.RunFinished()
-	s := l.Snapshot()
-	if s.Invocations != 1 || s.Attempts != 2 || s.Commits != 1 || s.Aborts != 1 ||
-		s.Conflicts != 1 || s.MemOps != 1 || s.RunsFinished != 1 {
-		t.Fatalf("snapshot mismatch: %+v", s)
-	}
-	if s.CommitsBy["S-CL"] != 1 || s.AbortsBy["memory-conflict"] != 1 {
-		t.Fatalf("breakdown mismatch: %+v", s)
 	}
 }
