@@ -48,7 +48,7 @@ func main() {
 	policyFlag := cliutil.AddPolicyFlags(flag.CommandLine)
 	flag.Parse()
 
-	ids, err := harness.ParseConfigs(*configs)
+	cfgs, err := harness.ParseConfigs(*configs)
 	if err != nil {
 		cliutil.Usage(err)
 	}
@@ -56,18 +56,8 @@ func main() {
 	if err != nil {
 		cliutil.Usage(err)
 	}
-	cfgs := make([]fuzz.Config, 0, len(ids))
-	for _, id := range ids {
-		switch id {
-		case harness.ConfigB:
-			cfgs = append(cfgs, fuzz.ConfigB)
-		case harness.ConfigP:
-			cfgs = append(cfgs, fuzz.ConfigP)
-		case harness.ConfigC:
-			cfgs = append(cfgs, fuzz.ConfigC)
-		case harness.ConfigW:
-			cfgs = append(cfgs, fuzz.ConfigW)
-		default:
+	for _, id := range cfgs {
+		if id == harness.ConfigM {
 			cliutil.Usagef("config %s is not fuzzable (want subset of BPCW)", id)
 		}
 	}
@@ -79,7 +69,7 @@ func main() {
 	case "":
 		os.Exit(fuzzRun(*seed, *runs, cfgs, *verbose, fuzz.Opts{Policy: pol}))
 	case "bug":
-		os.Exit(injectHunt(*seed, *runs, cfgs))
+		os.Exit(injectHunt(*seed, *runs, cfgs, pol))
 	case "list":
 		for _, name := range fault.Presets() {
 			p, _ := fault.PresetPlan(name)
@@ -98,7 +88,7 @@ func main() {
 // fuzzRun is the main loop: run cases, stop and shrink on the first failure.
 // A non-nil opts.Plan runs every case under the fault injector — the oracle
 // and the serial-replay differential must hold under perturbation too.
-func fuzzRun(first uint64, runs int, cfgs []fuzz.Config, verbose bool, opts fuzz.Opts) int {
+func fuzzRun(first uint64, runs int, cfgs []harness.ConfigID, verbose bool, opts fuzz.Opts) int {
 	start := time.Now()
 	programs := 0
 	under := ""
@@ -137,7 +127,7 @@ func fuzzRun(first uint64, runs int, cfgs []fuzz.Config, verbose bool, opts fuzz
 }
 
 // replayOne re-runs a single seed with full result output.
-func replayOne(seed uint64, cfgs []fuzz.Config, pol policy.Spec) int {
+func replayOne(seed uint64, cfgs []harness.ConfigID, pol policy.Spec) int {
 	c := fuzz.Gen(seed)
 	fmt.Printf("case:\n%s\n", c.Dump())
 	code := 0
@@ -153,18 +143,19 @@ func replayOne(seed uint64, cfgs []fuzz.Config, pol policy.Spec) int {
 // injectHunt proves the oracle end to end: with the planted bug enabled, a
 // CLEAR configuration must trip the single-retry invariant, and the failing
 // case must shrink to a small reproducer. Exit 0 means the bug was caught.
-func injectHunt(first uint64, runs int, cfgs []fuzz.Config) int {
-	clearCfgs := make([]fuzz.Config, 0, len(cfgs))
+func injectHunt(first uint64, runs int, cfgs []harness.ConfigID, pol policy.Spec) int {
+	clearCfgs := make([]harness.ConfigID, 0, len(cfgs))
 	for _, c := range cfgs {
-		if c == fuzz.ConfigC || c == fuzz.ConfigW {
+		if c == harness.ConfigC || c == harness.ConfigW {
 			clearCfgs = append(clearCfgs, c)
 		}
 	}
 	if len(clearCfgs) == 0 {
 		cliutil.Usagef("-inject needs a CLEAR configuration (C or W) in -configs")
 	}
+	opts := fuzz.Opts{Plan: &fault.Plan{SecondSpecRetryRate: 1}, Policy: pol}
 	caught := func(c *fuzz.Case) bool {
-		for _, r := range fuzz.RunAll(c, clearCfgs, fuzz.Opts{Inject: true}) {
+		for _, r := range fuzz.RunAll(c, clearCfgs, opts) {
 			for _, v := range r.Violations {
 				if v.Property == check.PropSingleRetry {
 					return true
@@ -182,7 +173,7 @@ func injectHunt(first uint64, runs int, cfgs []fuzz.Config) int {
 		shrunk := fuzz.Shrink(c, caught)
 		fmt.Printf("planted single-retry bug caught at seed %d; shrunk to %d effective instruction(s), %d core(s):\n%s\n",
 			seed, shrunk.EffectiveInstrs(), shrunk.Cores(), shrunk.Dump())
-		for _, r := range fuzz.RunAll(shrunk, clearCfgs, fuzz.Opts{Inject: true}) {
+		for _, r := range fuzz.RunAll(shrunk, clearCfgs, opts) {
 			if r.ViolationCount > 0 {
 				fmt.Println(r)
 			}

@@ -1,48 +1,35 @@
-// Command clearinspect inspects workload atomic regions: it disassembles
-// every AR of a benchmark, prints the static mutability analysis behind
-// Table 1, and optionally runs a small traced simulation so the execution
-// modes (speculative, failed-mode discovery, S-CL, NS-CL, fallback) can be
-// watched instruction by instruction.
+// Command clearinspect inspects workload atomic regions statically: it
+// disassembles every AR of a benchmark and prints the mutability analysis
+// behind Table 1. It runs no simulation.
 //
-// The traced run records the structured binary event stream of
-// internal/trace and renders it through the text compatibility view; use
-// -trace-out to keep the binary stream for cleartrace.
+// To watch the execution modes (speculative, failed-mode discovery, S-CL,
+// NS-CL, fallback) event by event, record a run with memory events and
+// dump it:
+//
+//	cleartrace record -bench mwobject -config W -cores 2 -ops 3 -mem -o run.trace
+//	cleartrace dump run.trace
 //
 // Usage:
 //
-//	clearinspect -bench sorted-list            # disassembly + analysis
-//	clearinspect -bench mwobject -trace -ops 5 # traced mini-run (config W)
-//	clearinspect -bench hashmap -trace -trace-out run.trace
+//	clearinspect                    # list the benchmarks
+//	clearinspect -bench sorted-list # disassembly + analysis
 //
-// Exit status follows the uniform policy: 1 = the run failed, 2 = usage
-// error (unknown benchmark/config, bad flags).
+// Exit status follows the uniform policy: 2 = usage error (unknown
+// benchmark, bad flags).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/cliutil"
-	"repro/internal/harness"
 	"repro/internal/isa"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
 	cliutil.SetTool("clearinspect")
-	var (
-		bench    = flag.String("bench", "", "benchmark to inspect (empty: list all)")
-		traced   = flag.Bool("trace", false, "run a small traced simulation")
-		cores    = flag.Int("cores", 4, "cores for -trace")
-		ops      = flag.Int("ops", 10, "ops per thread for -trace")
-		cfg      = flag.String("config", "W", "configuration for -trace (B, P, C, W or M)")
-		text     = flag.Bool("trace-text", true, "render the traced run as text (the classic view)")
-		traceOut = flag.String("trace-out", "", "also save the binary trace stream to this file")
-		traceMem = flag.Bool("trace-mem", true, "include per-memory-operation events in the trace")
-	)
+	bench := flag.String("bench", "", "benchmark to inspect (empty: list all)")
 	flag.Parse()
 
 	if *bench == "" {
@@ -53,16 +40,9 @@ func main() {
 		return
 	}
 
-	// Validate everything before producing any output, so a typo'd
-	// benchmark or configuration fails fast with a usage message instead
-	// of a partial report.
 	w, err := workload.New(*bench)
 	if err != nil {
 		cliutil.Usagef("unknown benchmark %q (run clearinspect with no -bench to list)", *bench)
-	}
-	config, err := harness.ParseConfig(*cfg)
-	if err != nil {
-		cliutil.Usage(err)
 	}
 
 	fmt.Printf("benchmark %s: %d atomic regions\n\n", w.Name(), len(w.ARs()))
@@ -78,47 +58,4 @@ func main() {
 		}
 		fmt.Printf("\n   static loads=%d stores=%d branches=%d\n\n", a.Loads, a.Stores, a.Branches)
 	}
-
-	if !*traced {
-		return
-	}
-
-	p := harness.DefaultRunParams(*bench, config)
-	p.Cores = *cores
-	p.OpsPerThread = *ops
-	var buf bytes.Buffer
-	p.TraceWriter = &buf
-	p.TraceMem = *traceMem
-	p.TraceDir = false
-
-	fmt.Printf("--- traced run: %d cores x %d ops, config %s ---\n", *cores, *ops, config)
-	res, err := harness.Run(p)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, buf.Bytes(), 0o644); err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "clearinspect: wrote %s (%d bytes)\n", *traceOut, buf.Len())
-	}
-
-	if *text {
-		rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		evs, err := rd.ReadAll()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		if err := trace.WriteText(os.Stdout, rd.Meta(), evs); err != nil {
-			cliutil.Fatal(err)
-		}
-	}
-
-	s := res.Stats
-	fmt.Printf("--- done: %d cycles, %d commits (spec %d, S-CL %d, NS-CL %d, fallback %d), %d aborts ---\n",
-		s.Cycles, s.Commits, s.CommitsByMode[0], s.CommitsByMode[1], s.CommitsByMode[2], s.CommitsByMode[3], s.Aborts)
 }

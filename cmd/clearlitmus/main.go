@@ -145,13 +145,25 @@ func cmdRun(args []string) error {
 		cliutil.Usagef("-update-golden pins the default sweep: full corpus, -configs BPCW, -seeds %d, clean, default policy", litmus.DefaultSeedCount)
 	}
 
+	var plan *fault.Plan
+	if *faults != "off" && *faults != "" {
+		if plan, err = fault.PresetPlan(*faults); err != nil {
+			cliutil.Usage(err)
+		}
+	}
+	if *inject == "lost-inv" {
+		if plan == nil {
+			plan = &fault.Plan{}
+		}
+		plan.LostInvalidationRate = 1
+	}
+
 	opts := litmus.SweepOpts{
-		Tests:                  ts,
-		Configs:                cfgs,
-		Seeds:                  litmus.DefaultSeeds(*seeds),
-		Fault:                  *faults,
-		InjectLostInvalidation: *inject == "lost-inv",
-		Policy:                 pol,
+		Tests:   ts,
+		Configs: cfgs,
+		Seeds:   litmus.DefaultSeeds(*seeds),
+		Plan:    plan,
+		Policy:  pol,
 	}
 	if *traceOut != "" {
 		if err := os.MkdirAll(*traceOut, 0o755); err != nil {

@@ -29,7 +29,7 @@ func main() {
 	run := cliutil.AddRunFlags(flag.CommandLine, cliutil.RunDefaults{
 		Bench: "hashmap", Config: "B", Cores: 32, Ops: 120, Retries: 4, Seed: 1,
 	})
-	tr := cliutil.AddTraceFlags(flag.CommandLine, false)
+	tr := cliutil.AddTraceFlags(flag.CommandLine)
 	pol := cliutil.AddPolicyFlags(flag.CommandLine)
 	var (
 		list    = flag.Bool("list", false, "list benchmarks and exit")

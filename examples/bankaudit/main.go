@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"repro/internal/cpu"
+	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -119,21 +120,20 @@ func (bk *bank) totalFunds() uint64 {
 
 func main() {
 	for _, cfg := range []struct {
-		name           string
-		clear, powertm bool
+		name string
+		id   harness.ConfigID
 	}{
-		{"B  requester-wins", false, false},
-		{"P  PowerTM", false, true},
-		{"C  CLEAR", true, false},
-		{"W  CLEAR+PowerTM", true, true},
+		{"B  requester-wins", harness.ConfigB},
+		{"P  PowerTM", harness.ConfigP},
+		{"C  CLEAR", harness.ConfigC},
+		{"W  CLEAR+PowerTM", harness.ConfigW},
 	} {
 		bk := buildBank()
 		before := bk.totalFunds()
 
 		sys := cpu.DefaultSystemConfig()
 		sys.Cores = cores
-		sys.CLEAR = cfg.clear
-		sys.PowerTM = cfg.powertm
+		cfg.id.Apply(&sys)
 		machine, err := cpu.NewMachine(sys, bk.memory)
 		if err != nil {
 			log.Fatal(err)

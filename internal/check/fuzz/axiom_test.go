@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/isa"
 )
 
@@ -62,7 +64,7 @@ func TestAxiomaticDifferential(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		cs := GenTagged(seed)
-		for _, cfg := range AllConfigs {
+		for _, cfg := range harness.AllConfigs {
 			r := RunCase(cs, cfg, Opts{Axiomatic: true})
 			if r.RunErr != nil {
 				t.Fatalf("seed %d %s: run error: %v", seed, cfg, r.RunErr)
@@ -102,7 +104,7 @@ func TestAxiomCatchesLostInvalidation(t *testing.T) {
 	caught, replayBlind := 0, 0
 	for seed := uint64(1); seed <= 40 && replayBlind == 0; seed++ {
 		cs := GenTagged(seed)
-		r := RunCase(cs, ConfigB, Opts{Axiomatic: true, InjectLostInv: true})
+		r := RunCase(cs, harness.ConfigB, Opts{Axiomatic: true, Plan: &fault.Plan{LostInvalidationRate: 1}})
 		if r.RunErr != nil {
 			t.Fatalf("seed %d: run error: %v", seed, r.RunErr)
 		}

@@ -4,7 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/fault"
+	"repro/internal/harness"
 )
+
+// clearConfigs are the configurations the planted single-retry bug can
+// reach: only CLEAR assesses convertibility.
+var clearConfigs = []harness.ConfigID{harness.ConfigC, harness.ConfigW}
 
 // smokeSeeds is how many seeds the deterministic smoke test covers; each
 // seed runs under all four configurations. Kept modest so `go test -short`
@@ -22,7 +28,7 @@ func TestFuzzSmokeAllConfigs(t *testing.T) {
 	ran := 0
 	for seed := uint64(1); seed <= seeds; seed++ {
 		c := Gen(seed)
-		for _, r := range RunAll(c, AllConfigs, Opts{}) {
+		for _, r := range RunAll(c, harness.AllConfigs, Opts{}) {
 			if r.Failed() {
 				t.Fatalf("seed %d: %s\ncase:\n%s", seed, r, c.Dump())
 			}
@@ -40,7 +46,7 @@ func TestFuzzSmokeAllConfigs(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	for seed := uint64(3); seed <= 6; seed++ {
 		c1, c2 := Gen(seed), Gen(seed)
-		for _, cfg := range AllConfigs {
+		for _, cfg := range harness.AllConfigs {
 			r1 := RunCase(c1, cfg, Opts{})
 			r2 := RunCase(c2, cfg, Opts{})
 			if r1.Digest != r2.Digest {
@@ -56,7 +62,7 @@ func TestReplayDeterminism(t *testing.T) {
 // singleRetryCaught is the shrink predicate for the injected bug: the case
 // still triggers the single-retry invariant under fault injection.
 func singleRetryCaught(c *Case) bool {
-	for _, r := range RunAll(c, []Config{ConfigC, ConfigW}, Opts{Inject: true}) {
+	for _, r := range RunAll(c, clearConfigs, Opts{Plan: &fault.Plan{SecondSpecRetryRate: 1}}) {
 		for _, v := range r.Violations {
 			if v.Property == check.PropSingleRetry {
 				return true
@@ -67,8 +73,8 @@ func singleRetryCaught(c *Case) bool {
 }
 
 // TestInjectedBugCaughtAndShrunk is the oracle's end-to-end acceptance test:
-// a machine deliberately configured to take a second speculative retry after
-// a convertible assessment (cpu.SystemConfig.InjectSecondSpecRetry) must be
+// a machine planted to take a second speculative retry after a convertible
+// assessment (fault.Plan.SecondSpecRetryRate = 1) must be
 // caught by the single-retry invariant, and the failing case must shrink to
 // a reproducer of at most 20 effective instructions.
 func TestInjectedBugCaughtAndShrunk(t *testing.T) {
@@ -100,7 +106,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 func TestInjectionDoesNotFireCleanOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		c := Gen(seed)
-		for _, r := range RunAll(c, []Config{ConfigC, ConfigW}, Opts{}) {
+		for _, r := range RunAll(c, clearConfigs, Opts{}) {
 			if r.ViolationCount > 0 {
 				t.Fatalf("seed %d %s: clean config reported violations: %s", seed, r.Config, r)
 			}
@@ -119,7 +125,7 @@ func FuzzARPrograms(f *testing.F) {
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		c := Gen(seed)
-		for _, r := range RunAll(c, AllConfigs, Opts{}) {
+		for _, r := range RunAll(c, harness.AllConfigs, Opts{}) {
 			if r.Failed() {
 				t.Fatalf("seed %d: %s\ncase:\n%s", seed, r, c.Dump())
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/litmus"
 	"repro/internal/mem"
@@ -16,57 +17,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Config selects one of the four evaluated configurations (§7 of the paper).
-type Config int
-
-const (
-	// ConfigB: baseline requester-wins HTM.
-	ConfigB Config = iota
-	// ConfigP: PowerTM.
-	ConfigP
-	// ConfigC: CLEAR over requester-wins.
-	ConfigC
-	// ConfigW: CLEAR over PowerTM.
-	ConfigW
-)
-
-// AllConfigs lists the four configurations in presentation order.
-var AllConfigs = []Config{ConfigB, ConfigP, ConfigC, ConfigW}
-
-func (c Config) String() string {
-	switch c {
-	case ConfigB:
-		return "B"
-	case ConfigP:
-		return "P"
-	case ConfigC:
-		return "C"
-	case ConfigW:
-		return "W"
-	}
-	return "?"
-}
-
-// Config-string decoding lives in harness.ParseConfigs (the single decoder
-// shared by every tool); cmd/clearfuzz maps the harness IDs onto this
-// package's Config values.
-
 // maxCaseTicks bounds one case run; generated programs are tiny, so hitting
 // this means a liveness bug.
 const maxCaseTicks sim.Tick = 50_000_000
 
 // Opts tweaks a case run.
 type Opts struct {
-	// Inject enables the deliberate single-retry bug
-	// (cpu.SystemConfig.InjectSecondSpecRetry); only meaningful for the
-	// CLEAR configs C and W.
-	Inject bool
-	// InjectLostInv enables the deliberate conflict-detection bug
-	// (cpu.SystemConfig.InjectLostInvalidation): a speculative holder yields
-	// a line without aborting. The axiomatic checker catches the resulting
-	// ordering corruption even on runs whose final memory matches the serial
-	// replay.
-	InjectLostInv bool
 	// Axiomatic additionally records a memory-access trace of the run and
 	// feeds it to the internal/litmus axiomatic checker — a second,
 	// independent oracle over the same execution (Result.Axiom).
@@ -74,7 +30,12 @@ type Opts struct {
 	// Plan, when non-nil, attaches the internal/fault injector to every
 	// run, so the differential serial-replay check also validates the
 	// machine under environmental perturbation. The injector's own seed is
-	// mixed per (case, config), keeping each run deterministic.
+	// mixed per (case, config), keeping each run deterministic. A plan's
+	// planted bugs are what the oracles must catch: SecondSpecRetryRate
+	// (meaningful for the CLEAR configs C and W) trips the single-retry
+	// invariant, and LostInvalidationRate corrupts ordering that the
+	// axiomatic checker catches even when the final memory matches the
+	// serial replay.
 	Plan *fault.Plan
 	// Policy selects the retry policy every case runs under (zero value =
 	// paper-exact default): the differential and axiomatic oracles must
@@ -84,7 +45,7 @@ type Opts struct {
 
 // Result is the outcome of running one case under one configuration.
 type Result struct {
-	Config Config
+	Config harness.ConfigID
 	// Digest is the deterministic statistics digest of the run (the replay
 	// witness: the same seed must reproduce it bit-identically).
 	Digest string
@@ -139,19 +100,6 @@ func shortDigest(d string) string {
 	return d
 }
 
-// systemConfig maps a fuzz configuration to the machine configuration.
-func (c Config) systemConfig(cs *Case, opts Opts) cpu.SystemConfig {
-	cfg := cpu.DefaultSystemConfig()
-	cfg.Cores = cs.Cores()
-	cfg.CLEAR = c == ConfigC || c == ConfigW
-	cfg.PowerTM = c == ConfigP || c == ConfigW
-	cfg.Seed = cs.Seed*4 + uint64(c) + 1
-	cfg.InjectSecondSpecRetry = opts.Inject
-	cfg.InjectLostInvalidation = opts.InjectLostInv
-	cfg.Policy = opts.Policy
-	return cfg
-}
-
 // initPool writes the case's deterministic pool image into memory: word 0 of
 // each line holds the base address of the line its Ptr names, words 1..7
 // hold the data values.
@@ -180,12 +128,17 @@ func poolImage(m *mem.Memory, cs *Case) []uint64 {
 // RunCase executes the case under one configuration with the invariant
 // oracle attached, then differentially validates the final memory against a
 // serial replay of the observed commit order.
-func RunCase(cs *Case, cfg Config, opts Opts) Result {
+func RunCase(cs *Case, cfg harness.ConfigID, opts Opts) Result {
 	res := Result{Config: cfg}
 
+	sys := cpu.DefaultSystemConfig()
+	sys.Cores = cs.Cores()
+	cfg.Apply(&sys)
+	sys.Seed = cs.Seed*4 + uint64(cfg) + 1
+	sys.Policy = opts.Policy
 	memory := mem.NewMemory(0x100000)
 	initPool(memory, cs)
-	machine, err := cpu.NewMachine(cfg.systemConfig(cs, opts), memory)
+	machine, err := cpu.NewMachine(sys, memory)
 	if err != nil {
 		res.RunErr = err
 		return res
@@ -280,7 +233,7 @@ func poolInitial(cs *Case) func(mem.Addr) uint64 {
 func regInits(rs []cpu.RegInit) []cpu.RegInit { return append([]cpu.RegInit(nil), rs...) }
 
 // RunAll executes the case under every requested configuration.
-func RunAll(cs *Case, cfgs []Config, opts Opts) []Result {
+func RunAll(cs *Case, cfgs []harness.ConfigID, opts Opts) []Result {
 	out := make([]Result, 0, len(cfgs))
 	for _, cfg := range cfgs {
 		out = append(out, RunCase(cs, cfg, opts))

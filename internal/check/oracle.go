@@ -333,7 +333,7 @@ func (o *Oracle) OnAttemptEnd(info cpu.AttemptEndInfo) {
 	if assessedCL && info.NextMode == clear.RetrySpeculative {
 		// The direct decision-tree check: a convertible assessment followed
 		// by a plain speculative retry is exactly the bug class
-		// InjectSecondSpecRetry plants.
+		// fault.Plan.SecondSpecRetryRate plants.
 		o.fail(PropSingleRetry, info.Core,
 			"discovery assessed the AR convertible (%v) but the next attempt is speculative", info.Assessment.Mode)
 	}

@@ -106,13 +106,11 @@ type TraceFlags struct {
 	Dir *bool
 }
 
-// AddTraceFlags registers the trace flag group on fs; memDefault sets the
-// default of -trace-mem (clearinspect's classic text view wants memory
-// events, the perf-sensitive tools do not).
-func AddTraceFlags(fs *flag.FlagSet, memDefault bool) *TraceFlags {
+// AddTraceFlags registers the trace flag group on fs.
+func AddTraceFlags(fs *flag.FlagSet) *TraceFlags {
 	return &TraceFlags{
 		Out: fs.String("trace-out", "", "record the run's binary event trace to this file (inspect with cleartrace)"),
-		Mem: fs.Bool("trace-mem", memDefault, "include per-memory-operation events in the trace"),
+		Mem: fs.Bool("trace-mem", false, "include per-memory-operation events in the trace"),
 		Dir: fs.Bool("trace-dir", false, "include directory transaction events in the trace"),
 	}
 }

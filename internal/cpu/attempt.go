@@ -393,12 +393,10 @@ func (c *Core) proposeRetryMode(reason htm.AbortReason) clear.RetryMode {
 			c.ertEntry.IsImmutable = a.Immutable
 		}
 		if a.Mode == clear.RetrySCL || a.Mode == clear.RetryNSCL {
-			if c.m.Cfg.InjectSecondSpecRetry ||
-				(c.m.fault != nil && c.m.fault.ForceSecondSpecRetry(c.id)) {
-				// Fault injection (tests and chaos campaigns only): ignore
-				// the convertible assessment and take a second plain
-				// speculative retry — the exact bug class the single-retry
-				// invariant exists to catch.
+			if c.m.fault != nil && c.m.fault.ForceSecondSpecRetry(c.id) {
+				// Planted bug (fault injection only): ignore the convertible
+				// assessment and take a second plain speculative retry — the
+				// exact bug class the single-retry invariant exists to catch.
 				return clear.RetrySpeculative
 			}
 			c.disc.ALT.FinalizeForMode(c.effectiveCLMode(a.Mode), c.crt)

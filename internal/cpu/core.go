@@ -299,11 +299,12 @@ func (c *Core) OnRemoteRequest(line mem.LineAddr, isWrite bool, requester int, a
 			return coherence.HolderNacks
 		}
 		// Requester wins.
-		if c.m.Cfg.InjectLostInvalidation {
-			// Planted bug (tests only): the invalidation is processed but the
-			// abort signal is dropped, so this transaction may commit values
-			// it read before the remote write — a serializability violation
-			// that survives a final-memory comparison.
+		if c.m.fault != nil && c.m.fault.LoseInvalidation(c.id) {
+			// Planted bug (fault injection only): the invalidation is
+			// processed but the abort signal is dropped, so this transaction
+			// may commit values it read before the remote write — a
+			// serializability violation that survives a final-memory
+			// comparison.
 			return c.yieldLine(line, isWrite)
 		}
 		c.signalAbort(htm.AbortMemoryConflict)

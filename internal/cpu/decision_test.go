@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // decisionDiscState selects the failed-mode discovery state a decision-table
@@ -27,7 +28,7 @@ const (
 type decisionRow struct {
 	name   string
 	clear  bool
-	inject bool // SystemConfig.InjectSecondSpecRetry
+	inject bool // a stub FaultHook plants the second speculative retry
 	mode   Mode
 	reason htm.AbortReason
 	disc   decisionDiscState
@@ -98,6 +99,16 @@ func decisionRows() []decisionRow {
 	}
 }
 
+// plantSecondSpec is a stub FaultHook that plants only the second-spec-retry
+// bug, on every consultation.
+type plantSecondSpec struct{}
+
+func (plantSecondSpec) DenyPowerClaim(int) bool       { return false }
+func (plantSecondSpec) SpuriousAbort(int) bool        { return false }
+func (plantSecondSpec) PreemptHolder(int) sim.Tick    { return 0 }
+func (plantSecondSpec) ForceSecondSpecRetry(int) bool { return true }
+func (plantSecondSpec) LoseInvalidation(int) bool     { return false }
+
 // decisionCore builds a machine under the given policy spec and prepares
 // core 0 for one decision-table row: execution mode, a convertible ERT
 // entry, a dummy invocation (decideRetryMode hands the AR's program id to
@@ -107,11 +118,13 @@ func decisionCore(t *testing.T, tc decisionRow, spec policy.Spec) *Core {
 	cfg := DefaultSystemConfig()
 	cfg.Cores = 2
 	cfg.CLEAR = tc.clear
-	cfg.InjectSecondSpecRetry = tc.inject
 	cfg.Policy = spec
 	m, err := NewMachine(cfg, mem.NewMemory(0x10000))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tc.inject {
+		m.SetFaultHook(plantSecondSpec{})
 	}
 	c := m.Cores[0]
 	c.mode = tc.mode

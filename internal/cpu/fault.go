@@ -9,9 +9,9 @@ import "repro/internal/sim"
 // reproducible.
 //
 // Every hook models a *tolerable* disturbance — a denied token, an early
-// abort, a stalled holder — except ForceSecondSpecRetry, which plants the
-// single-retry-bound bug on purpose so campaigns can prove the watchdog and
-// oracle detect it.
+// abort, a stalled holder — except ForceSecondSpecRetry and
+// LoseInvalidation, which plant bugs on purpose so tests and campaigns can
+// prove the oracle, the watchdog and the litmus checker detect them.
 type FaultHook interface {
 	// DenyPowerClaim refuses a PowerTM token claim for core (a periodic
 	// denial window); the retry proceeds without priority.
@@ -25,6 +25,10 @@ type FaultHook interface {
 	// ForceSecondSpecRetry makes core take a second plain speculative retry
 	// after a convertible discovery assessment — the planted §4.3 bug.
 	ForceSecondSpecRetry(core int) bool
+	// LoseInvalidation makes core, a speculative holder losing a line to a
+	// requester-wins conflict, yield it without aborting — the planted
+	// conflict-detection bug.
+	LoseInvalidation(core int) bool
 }
 
 // SetFaultHook installs (or, with nil, removes) the cpu-layer fault hook.

@@ -26,6 +26,10 @@ import (
 //	P (PowerTM):         CLEAR=false PowerTM=true
 //	C (CLEAR over B):    CLEAR=true  PowerTM=false
 //	W (CLEAR over P):    CLEAR=true  PowerTM=true
+//
+// harness.ConfigID.Apply is the one place a configuration letter sets them.
+// Planted bugs are not configuration: they come only from an
+// internal/fault plan through the FaultHook seam.
 type SystemConfig struct {
 	Cores int
 	// RetryLimit is how many conflict-counted aborts are allowed before the
@@ -95,29 +99,12 @@ type SystemConfig struct {
 	ALTEntries int
 	CRTEntries int
 	CRTWays    int
-	// InjectSecondSpecRetry deliberately breaks the §4.3 decision tree for
-	// fault-injection testing: after a convertible discovery assessment the
-	// core takes a *second* plain speculative retry instead of the CL mode
-	// the assessment chose. This violates the paper's single-retry bound and
-	// must be caught by the internal/check oracle; it exists to prove the
-	// oracle can detect exactly this class of bug. Never set outside tests.
-	InjectSecondSpecRetry bool
 	// Policy selects the retry policy owning the §4.3 next-mode decision
 	// (internal/policy). The zero value is the paper-exact CLEAR policy,
 	// bit-identical to the hard-wired decision tree it replaced; non-default
 	// policies are a scenario axis keyed into the runstore cache exactly
 	// like the CLEAR/PowerTM toggles.
 	Policy policy.Spec
-	// InjectLostInvalidation deliberately breaks conflict detection for
-	// fault-injection testing: a speculative holder hit by a conflicting
-	// remote request yields the line *without* aborting, so it can commit
-	// having read data that was concurrently overwritten. The final memory
-	// image can still match a serial replay (the writer's store lands
-	// either way), which is exactly the class of ordering bug the
-	// internal/litmus axiomatic checker exists to catch — the lost
-	// invalidation shows up as an fr/co cycle in the extracted execution
-	// graph. Never set outside tests.
-	InjectLostInvalidation bool
 }
 
 // DefaultSystemConfig mirrors Table 2 with CLEAR and PowerTM off

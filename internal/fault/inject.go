@@ -219,3 +219,14 @@ func (inj *Injector) ForceSecondSpecRetry(core int) bool {
 	}
 	return false
 }
+
+// LoseInvalidation implements cpu.FaultHook: the planted conflict-detection
+// bug, fired with probability LostInvalidationRate when a speculative holder
+// loses a line to a requester-wins conflict.
+func (inj *Injector) LoseInvalidation(core int) bool {
+	if inj.plan.LostInvalidationRate > 0 && inj.rng.Float64() < inj.plan.LostInvalidationRate {
+		inj.fire(KindLostInvalidation, core, 0, 0)
+		return true
+	}
+	return false
+}

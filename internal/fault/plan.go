@@ -17,6 +17,13 @@
 // the *robustness* claims — the single-retry bound, deadlock freedom of the
 // ordered lock walk, and graceful degradation to the fallback path.
 //
+// The two exceptions are the planted bugs, which exist to prove the
+// detectors fire: KindSecondSpecRetry (Plan.SecondSpecRetryRate) breaks the
+// single-retry bound for the internal/check oracle and the watchdog, and
+// KindLostInvalidation (Plan.LostInvalidationRate) breaks conflict
+// detection for the internal/litmus axiomatic checker. They are the only
+// way to plant a bug in the simulator.
+//
 // Determinism contract: the injector draws from its own sim.RNG seeded from
 // (Plan.Seed, machine seed), so the same plan and seeds reproduce the same
 // fault sequence and therefore a bit-identical run — campaigns are
@@ -70,6 +77,13 @@ const (
 	// This is a *planted bug*, not a tolerable fault: the oracle and the
 	// watchdog must catch it (campaigns use it to prove they can).
 	KindSecondSpecRetry
+	// KindLostInvalidation: conflict detection deliberately broken — a
+	// speculative holder losing a line to a requester-wins conflict yields
+	// it without aborting, so it may commit values that were concurrently
+	// overwritten. Another *planted bug*: the final memory image can still
+	// match a serial replay, and the litmus axiomatic checker must catch
+	// the resulting fr/co cycle.
+	KindLostInvalidation
 
 	// NumKinds is the number of fault kinds.
 	NumKinds
@@ -95,6 +109,8 @@ func (k Kind) String() string {
 		return "holder-stall"
 	case KindSecondSpecRetry:
 		return "second-spec-retry"
+	case KindLostInvalidation:
+		return "lost-invalidation"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -172,6 +188,11 @@ type Plan struct {
 	// instead of taking the assessed CL mode. Detection, not tolerance, is
 	// the expected outcome.
 	SecondSpecRetryRate float64
+
+	// LostInvalidationRate plants the conflict-detection bug: a speculative
+	// holder hit by a requester-wins conflict keeps running instead of
+	// aborting. Detection, not tolerance, is the expected outcome.
+	LostInvalidationRate float64
 }
 
 // Empty reports whether the plan injects nothing at all.
@@ -193,7 +214,7 @@ func (p *Plan) cpuActive() bool {
 	return (p.PowerDenyPeriod > 0 && p.PowerDenyWindow > 0) ||
 		p.SpuriousAbortRate > 0 ||
 		(p.HolderStallRate > 0 && p.HolderStallTicks > 0) ||
-		p.SecondSpecRetryRate > 0
+		p.SecondSpecRetryRate > 0 || p.LostInvalidationRate > 0
 }
 
 // Clone returns an independent copy.
@@ -216,6 +237,7 @@ func (p *Plan) Validate() error {
 		{"SpuriousAbortRate", p.SpuriousAbortRate},
 		{"HolderStallRate", p.HolderStallRate},
 		{"SecondSpecRetryRate", p.SecondSpecRetryRate},
+		{"LostInvalidationRate", p.LostInvalidationRate},
 	} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("fault: %s=%g outside [0,1]", r.name, r.v)
@@ -252,6 +274,8 @@ func (p *Plan) Disable(k Kind) *Plan {
 		p.HolderStallRate, p.HolderStallTicks = 0, 0
 	case KindSecondSpecRetry:
 		p.SecondSpecRetryRate = 0
+	case KindLostInvalidation:
+		p.LostInvalidationRate = 0
 	}
 	return p
 }
@@ -277,6 +301,8 @@ func (p *Plan) Enabled(k Kind) bool {
 		return p.HolderStallRate > 0 && p.HolderStallTicks > 0
 	case KindSecondSpecRetry:
 		return p.SecondSpecRetryRate > 0
+	case KindLostInvalidation:
+		return p.LostInvalidationRate > 0
 	}
 	return false
 }
@@ -323,6 +349,9 @@ func (p *Plan) String() string {
 	}
 	if p.Enabled(KindSecondSpecRetry) {
 		add(fmt.Sprintf("second-spec-retry=%g", p.SecondSpecRetryRate))
+	}
+	if p.Enabled(KindLostInvalidation) {
+		add(fmt.Sprintf("lost-invalidation=%g", p.LostInvalidationRate))
 	}
 	if len(parts) == 0 {
 		return "empty"

@@ -45,27 +45,42 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDisableEnabled asserts Disable(k) turns exactly kind k off.
+// planted reports whether k is a planted bug rather than a tolerable
+// fault; no tolerable-fault preset enables one.
+func planted(k Kind) bool {
+	return k == KindSecondSpecRetry || k == KindLostInvalidation
+}
+
+// TestDisableEnabled asserts Disable(k) turns exactly kind k off, over the
+// default preset plus every planted bug.
 func TestDisableEnabled(t *testing.T) {
 	full, err := PresetPlan("default")
 	if err != nil {
 		t.Fatal(err)
 	}
+	full.SecondSpecRetryRate = 0.5
+	full.LostInvalidationRate = 0.5
 	for k := Kind(0); k < NumKinds; k++ {
-		if k == KindSecondSpecRetry {
-			continue // not part of the default preset
-		}
 		if !full.Enabled(k) {
-			t.Fatalf("default preset should enable %v", k)
+			t.Fatalf("test plan should enable %v", k)
 		}
 		p := full.Clone().Disable(k)
 		if p.Enabled(k) {
 			t.Errorf("Disable(%v) left the kind enabled", k)
 		}
 		for o := Kind(0); o < NumKinds; o++ {
-			if o != k && o != KindSecondSpecRetry && !p.Enabled(o) {
+			if o != k && !p.Enabled(o) {
 				t.Errorf("Disable(%v) also disabled %v", k, o)
 			}
+		}
+	}
+	def, err := PresetPlan("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := Kind(0); k < NumKinds; k++ {
+		if def.Enabled(k) == planted(k) {
+			t.Errorf("default preset: Enabled(%v) = %v, want %v", k, def.Enabled(k), !planted(k))
 		}
 	}
 }

@@ -99,6 +99,8 @@ func halveKind(p *Plan, k Kind) bool {
 		return halfRate(&p.HolderStallRate) || halfTick(&p.HolderStallTicks)
 	case KindSecondSpecRetry:
 		return halfRate(&p.SecondSpecRetryRate)
+	case KindLostInvalidation:
+		return halfRate(&p.LostInvalidationRate)
 	}
 	return false
 }

@@ -189,6 +189,49 @@ func TestWatchdogCatchesPlantedSecondSpecRetry(t *testing.T) {
 	}
 }
 
+// TestLostInvalidationFiresAndTraces: a LostInvalidationRate of 1 plants the
+// conflict-detection bug at every requester-wins conflict; the injector
+// counts each firing and the tracer records it as a KindFault event. bst at
+// this size happens to survive workload verification, so the run completes
+// and both tallies can be read.
+func TestLostInvalidationFiresAndTraces(t *testing.T) {
+	p := faultTestParams("bst", ConfigB)
+	p.FaultPlan = &fault.Plan{Seed: 1, LostInvalidationRate: 1}
+	var buf bytes.Buffer
+	p.TraceWriter = &buf
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := res.Faults.Fired[fault.KindLostInvalidation]
+	if fired == 0 {
+		t.Fatal("LostInvalidationRate=1 fired no lost invalidation")
+	}
+	if res.Faults.Total() != fired {
+		t.Fatalf("plan fired %d faults, %d of them lost invalidations", res.Faults.Total(), fired)
+	}
+	rd, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced uint64
+	for _, e := range evs {
+		if e.Kind == trace.KindFault {
+			if e.FaultKind() != fault.KindLostInvalidation {
+				t.Fatalf("unexpected fault kind %v in the trace", e.FaultKind())
+			}
+			traced++
+		}
+	}
+	if traced != fired {
+		t.Fatalf("trace carries %d fault events, injector fired %d", traced, fired)
+	}
+}
+
 // TestWatchdogCatchesPlantedLivelock: a lock acquisition denied forever
 // (LockStallRate=1) starves the CL lock walk, which has no retry budget;
 // the watchdog's no-commit window must detect the livelock instead of

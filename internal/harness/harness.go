@@ -79,6 +79,16 @@ func (c ConfigID) Description() string {
 	return "unknown"
 }
 
+// Apply sets the configuration's CLEAR, PowerTM and StaticLocking toggles
+// on cfg. It is the one mapping from a configuration letter to machine
+// switches; the harness, the litmus runner and the fuzz harness all build
+// their machines through it.
+func (c ConfigID) Apply(cfg *cpu.SystemConfig) {
+	cfg.CLEAR = c == ConfigC || c == ConfigW
+	cfg.PowerTM = c == ConfigP || c == ConfigW
+	cfg.StaticLocking = c == ConfigM
+}
+
 // RunParams fully determines one simulation run.
 type RunParams struct {
 	Benchmark    string
@@ -156,12 +166,10 @@ func (p RunParams) SystemConfig() cpu.SystemConfig {
 	cfg := cpu.DefaultSystemConfig()
 	cfg.Cores = p.Cores
 	cfg.RetryLimit = p.RetryLimit
-	cfg.CLEAR = p.Config == ConfigC || p.Config == ConfigW
-	cfg.PowerTM = p.Config == ConfigP || p.Config == ConfigW
+	p.Config.Apply(&cfg)
 	cfg.Seed = p.Seed
 	cfg.SLE = p.SLE
 	cfg.Mesh = p.Mesh
-	cfg.StaticLocking = p.Config == ConfigM
 	cfg.DisableDiscoveryContinuation = p.DisableDiscoveryContinuation
 	cfg.SCLLockAllReads = p.SCLLockAllReads
 	cfg.ERTEntries = p.ERTEntries

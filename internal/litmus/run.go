@@ -36,11 +36,12 @@ func DefaultSeeds(n int) []uint64 {
 type RunOpts struct {
 	Config harness.ConfigID
 	Seed   uint64
-	// Fault names an internal/fault preset ("" or "off" = clean run).
-	Fault string
-	// InjectLostInvalidation plants the conflict-detection bug
-	// (cpu.SystemConfig.InjectLostInvalidation) the checker must catch.
-	InjectLostInvalidation bool
+	// Plan, when non-nil, attaches the internal/fault injector (nil = clean
+	// run). The run seed is mixed into a copy of Plan.Seed, so each sweep
+	// point sees an independent but reproducible fault sequence. A plan with
+	// LostInvalidationRate set plants the conflict-detection bug the checker
+	// must catch.
+	Plan *fault.Plan
 	// Policy selects the retry policy (zero value = paper-exact default):
 	// the memory-model axioms must hold under every policy, including ones
 	// that serialize aggressively.
@@ -54,7 +55,6 @@ type RunResult struct {
 	Test    *Test
 	Config  harness.ConfigID
 	Seed    uint64
-	Fault   string
 	Outcome string
 	// Forbidden reports that Outcome is outside the SC-allowed set.
 	Forbidden bool
@@ -71,9 +71,6 @@ func (r RunResult) Failed() bool {
 
 func (r RunResult) String() string {
 	head := fmt.Sprintf("%s/%s seed %d", r.Test.Name, r.Config, r.Seed)
-	if r.Fault != "" && r.Fault != "off" {
-		head += " fault=" + r.Fault
-	}
 	if !r.Failed() {
 		return fmt.Sprintf("%s: ok (%s)", head, r.Outcome)
 	}
@@ -94,32 +91,15 @@ func (r RunResult) String() string {
 	return out
 }
 
-// systemConfig maps a harness configuration onto the machine config, the
-// same toggles the fuzz and harness layers use.
-func systemConfig(id harness.ConfigID, cores int, seed uint64, pol policy.Spec) cpu.SystemConfig {
-	cfg := cpu.DefaultSystemConfig()
-	cfg.Cores = cores
-	cfg.CLEAR = id == harness.ConfigC || id == harness.ConfigW
-	cfg.PowerTM = id == harness.ConfigP || id == harness.ConfigW
-	cfg.StaticLocking = id == harness.ConfigM
-	cfg.Seed = seed
-	cfg.Policy = pol
-	return cfg
-}
-
-// faultPlan resolves a preset name, mixing the run seed into the injector's
-// seed so each sweep point sees an independent but reproducible fault
-// sequence.
-func faultPlan(name string, seed uint64) (*fault.Plan, error) {
-	if name == "" || name == "off" {
-		return nil, nil
+// seededPlan copies plan with the run seed mixed into its injector seed; a
+// nil plan stays nil (no injector).
+func seededPlan(plan *fault.Plan, seed uint64) *fault.Plan {
+	if plan == nil {
+		return nil
 	}
-	plan, err := fault.PresetPlan(name)
-	if err != nil {
-		return nil, err
-	}
-	plan.Seed = plan.Seed*0x9e3779b97f4a7c15 + seed
-	return plan, nil
+	p := plan.Clone()
+	p.Seed = p.Seed*0x9e3779b97f4a7c15 + seed
+	return p
 }
 
 // thinkRNG derives the per-run interleaving jitter source. It depends on
@@ -138,11 +118,14 @@ func thinkRNG(t *Test, seed uint64) *sim.RNG {
 // execution, check the axioms, and read the observation values out of the
 // committed loads.
 func Run(t *Test, opts RunOpts) RunResult {
-	res := RunResult{Test: t, Config: opts.Config, Seed: opts.Seed, Fault: opts.Fault}
+	res := RunResult{Test: t, Config: opts.Config, Seed: opts.Seed}
 
 	comp := t.compile()
-	cfg := systemConfig(opts.Config, len(t.Threads), opts.Seed, opts.Policy)
-	cfg.InjectLostInvalidation = opts.InjectLostInvalidation
+	cfg := cpu.DefaultSystemConfig()
+	cfg.Cores = len(t.Threads)
+	opts.Config.Apply(&cfg)
+	cfg.Seed = opts.Seed
+	cfg.Policy = opts.Policy
 	memory := mem.NewMemory(0x100000)
 	machine, err := cpu.NewMachine(cfg, memory)
 	if err != nil {
@@ -166,12 +149,7 @@ func Run(t *Test, opts RunOpts) RunResult {
 		res.Err = err
 		return res
 	}
-	plan, err := faultPlan(opts.Fault, opts.Seed)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	fault.Attach(machine, plan)
+	fault.Attach(machine, seededPlan(opts.Plan, opts.Seed))
 
 	// Per-invocation think jitter spreads the threads' entry points so the
 	// seed sweep explores genuinely different interleavings.
@@ -250,10 +228,8 @@ type SweepOpts struct {
 	Tests   []*Test
 	Configs []harness.ConfigID
 	Seeds   []uint64
-	// Fault names one preset applied to every run ("", "off" = clean).
-	Fault string
-	// InjectLostInvalidation plants the conflict-detection bug in every run.
-	InjectLostInvalidation bool
+	// Plan is the fault plan applied to every run (nil = clean).
+	Plan *fault.Plan
 	// Policy is the retry policy applied to every run of the sweep.
 	Policy policy.Spec
 	// TraceSink, when non-nil, is called per run to obtain a trace copy
@@ -270,8 +246,8 @@ type CellResult struct {
 }
 
 // Sweep runs the outcome-set collection: every test × config × seed, under
-// one fault preset, diffing each observed outcome against the allowed set
-// and checking the axioms on every run.
+// one fault plan and one retry policy, diffing each observed outcome against
+// the allowed set and checking the axioms on every run.
 func Sweep(opts SweepOpts) []CellResult {
 	var out []CellResult
 	for _, t := range opts.Tests {
@@ -279,10 +255,10 @@ func Sweep(opts SweepOpts) []CellResult {
 			cell := CellResult{Test: t, Config: cfg, Outcomes: map[string]int{}}
 			for _, seed := range opts.Seeds {
 				ro := RunOpts{
-					Config:                 cfg,
-					Seed:                   seed,
-					Fault:                  opts.Fault,
-					InjectLostInvalidation: opts.InjectLostInvalidation,
+					Config: cfg,
+					Seed:   seed,
+					Plan:   opts.Plan,
+					Policy: opts.Policy,
 				}
 				var sink io.WriteCloser
 				if opts.TraceSink != nil {

@@ -1,11 +1,15 @@
 package litmus
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/harness"
+	"repro/internal/policy"
 )
 
 // testSeeds keeps the in-package sweep quick; the 32-seed acceptance sweep
@@ -42,11 +46,15 @@ func TestCorpusConformanceUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep skipped in -short")
 	}
+	plan, err := fault.PresetPlan("default")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cells := Sweep(SweepOpts{
 		Tests:   Corpus(),
 		Configs: []harness.ConfigID{harness.ConfigB, harness.ConfigW},
 		Seeds:   DefaultSeeds(4),
-		Fault:   "default",
+		Plan:    plan,
 	})
 	for _, cell := range cells {
 		if cell.Failed() {
@@ -103,9 +111,9 @@ func TestPlantedLostInvalidationCaught(t *testing.T) {
 		caught := false
 		for _, seed := range DefaultSeeds(16) {
 			r := Run(tt, RunOpts{
-				Config:                 harness.ConfigB,
-				Seed:                   seed,
-				InjectLostInvalidation: true,
+				Config: harness.ConfigB,
+				Seed:   seed,
+				Plan:   &fault.Plan{LostInvalidationRate: 1},
 			})
 			if r.Err != nil {
 				t.Fatalf("%s seed %d: run error: %v", name, seed, r.Err)
@@ -140,6 +148,49 @@ func TestCleanMachineNoInjection(t *testing.T) {
 			if r.Failed() {
 				t.Errorf("clean run failed:\n%s", r)
 			}
+		}
+	}
+}
+
+// closeBuffer is a trace sink that keeps what was written.
+type closeBuffer struct{ bytes.Buffer }
+
+func (*closeBuffer) Close() error { return nil }
+
+// TestSweepHonoursPolicy: every run of a sweep runs under SweepOpts.Policy,
+// so each trace it writes is byte-identical to a single Run under the same
+// policy.
+func TestSweepHonoursPolicy(t *testing.T) {
+	pol, err := policy.Parse("retry:n=1,backoff=exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := Lookup("lb+ar")
+	seeds := DefaultSeeds(8)
+	swept := map[uint64]*closeBuffer{}
+	Sweep(SweepOpts{
+		Tests:   []*Test{tt},
+		Configs: []harness.ConfigID{harness.ConfigB},
+		Seeds:   seeds,
+		Policy:  pol,
+		TraceSink: func(test string, cfg harness.ConfigID, seed uint64) io.WriteCloser {
+			b := &closeBuffer{}
+			swept[seed] = b
+			return b
+		},
+	})
+	for _, seed := range seeds {
+		var want bytes.Buffer
+		r := Run(tt, RunOpts{Config: harness.ConfigB, Seed: seed, Policy: pol, TraceOut: &want})
+		if r.Err != nil {
+			t.Fatalf("seed %d: %v", seed, r.Err)
+		}
+		got := swept[seed]
+		if got == nil {
+			t.Fatalf("seed %d: sweep wrote no trace", seed)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("seed %d: sweep trace differs from a single run under %s", seed, pol.Canonical())
 		}
 	}
 }

@@ -9,10 +9,10 @@
 // On top of the raw stream the package provides a timeline reconstructor
 // (per-core attempt spans with lock-wait edges), exporters to
 // Chrome/Perfetto trace-event JSON and compact CSV, interval metrics
-// sampling, a text renderer compatible with the old clearinspect -trace
-// view, and BuildProfile — the one offline fold that turns a trace into
-// counts (commits by mode, aborts by reason, per-AR totals, abort
-// attribution). Live counts during a run come from internal/metrics.
+// sampling, a line-per-event text renderer (cleartrace dump), and
+// BuildProfile — the one offline fold that turns a trace into counts
+// (commits by mode, aborts by reason, per-AR totals, abort attribution).
+// Live counts during a run come from internal/metrics.
 //
 // Determinism contract: the binary encoding contains no host-side state
 // (no wall-clock timestamps, no pointers, no map iteration), so the same

@@ -8,8 +8,8 @@ import (
 	"repro/internal/cpu"
 )
 
-// WriteText renders evs in the line-per-event text format of the old
-// clearinspect -trace view:
+// WriteText renders evs in the line-per-event text format (cleartrace
+// dump):
 //
 //	[    tick] core  N mode       message
 //
