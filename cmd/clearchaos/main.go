@@ -2,9 +2,9 @@
 // simulator: every run perturbs one (benchmark, configuration) pair with a
 // seed-deterministic fault plan — NACK storms, directory stalls, power-token
 // denial windows, spurious aborts, lock-holder preemption — while the
-// invariant oracle and the forward-progress watchdog verify that faults only
-// ever delay or refuse, never corrupt, and that CLEAR's single-retry bound
-// holds under every perturbation. A failing run shrinks its plan to the
+// invariant oracle verifies that faults only ever delay or refuse, never
+// corrupt, that every run keeps committing, and that CLEAR's single-retry
+// bound holds under every perturbation. A failing run shrinks its plan to the
 // minimal set of fault kinds (and the gentlest rates) that still reproduce
 // the failure, then prints the exact flags that replay it.
 //
@@ -13,7 +13,7 @@
 //	clearchaos -runs 200 -seed 1             # campaign, "default" plan
 //	clearchaos -plan storm -configs CW       # NACK storms on CLEAR configs
 //	clearchaos -faults nack,dir-stall        # restrict the plan to two kinds
-//	clearchaos -plan planted -expect-catch   # prove the watchdog catches a
+//	clearchaos -plan planted -expect-catch   # prove the oracle catches a
 //	                                         # planted second-spec-retry fault
 //	clearchaos -list-plans                   # show the named presets
 //	clearchaos -cache-dir .clearcache        # replay: clean cached runs are
@@ -22,9 +22,9 @@
 //	                                         # execution against the axiomatic
 //	                                         # memory model
 //
-// Exit status is 0 iff every run survived with zero oracle violations and
-// zero watchdog detections (with -expect-catch: iff a planted fault was
-// caught and shrunk); 2 = usage error.
+// Exit status is 0 iff every run survived with zero oracle violations (with
+// -expect-catch: iff a planted fault was caught and shrunk); 2 = usage
+// error.
 package main
 
 import (
@@ -42,6 +42,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/runstore"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -176,18 +177,16 @@ type campaignOpts struct {
 
 // report accumulates campaign-wide degradation statistics.
 type report struct {
-	runs             int
-	cached           int
-	fired            [fault.NumKinds]uint64
-	extraTicks       sim.Tick
-	commits          uint64
-	degradations     uint64
-	maxRetries       int
-	maxRetriesAt     string
-	maxCommitLat     sim.Tick
-	maxCommitLatAt   string
-	retryViolations  uint64
-	oracleViolations int
+	runs           int
+	cached         int
+	fired          [fault.NumKinds]uint64
+	extraTicks     sim.Tick
+	commits        uint64
+	degradations   uint64
+	maxRetries     int
+	maxRetriesAt   string
+	maxCommitLat   sim.Tick
+	maxCommitLatAt string
 }
 
 func (r *report) absorb(res *harness.RunResult, at string) {
@@ -198,18 +197,15 @@ func (r *report) absorb(res *harness.RunResult, at string) {
 		}
 		r.extraTicks += res.Faults.ExtraTicks
 	}
-	if res.Watch != nil {
-		r.commits += res.Watch.Commits
-		r.degradations += res.Watch.Degradations
-		r.retryViolations += res.Watch.RetryBoundViolations
-		if res.Watch.MaxConflictRetries > r.maxRetries {
-			r.maxRetries = res.Watch.MaxConflictRetries
-			r.maxRetriesAt = at
-		}
-		if res.Watch.MaxCommitLatency > r.maxCommitLat {
-			r.maxCommitLat = res.Watch.MaxCommitLatency
-			r.maxCommitLatAt = at
-		}
+	r.commits += res.Stats.Commits
+	r.degradations += res.Stats.CommitsByMode[stats.CommitFallback]
+	if res.Oracle.MaxConflictRetries > r.maxRetries {
+		r.maxRetries = res.Oracle.MaxConflictRetries
+		r.maxRetriesAt = at
+	}
+	if res.Oracle.MaxCommitLatency > r.maxCommitLat {
+		r.maxCommitLat = res.Oracle.MaxCommitLatency
+		r.maxCommitLatAt = at
 	}
 }
 
@@ -230,7 +226,6 @@ func (r *report) print() {
 	fmt.Printf("  commits: %d, fallback degradations: %d\n", r.commits, r.degradations)
 	fmt.Printf("  worst conflict-retry count: %d (%s)\n", r.maxRetries, orDash(r.maxRetriesAt))
 	fmt.Printf("  worst commit latency: %d ticks (%s)\n", r.maxCommitLat, orDash(r.maxCommitLatAt))
-	fmt.Printf("  single-retry-bound violations: %d\n", r.retryViolations)
 	if r.cached > 0 {
 		fmt.Printf("  runs served from the run cache: %d of %d\n", r.cached, r.runs)
 	}
@@ -260,7 +255,6 @@ func campaign(o campaignOpts) int {
 			Seed:         o.seed + uint64(i),
 			MaxTicks:     400_000_000,
 			Oracle:       true,
-			Watchdog:     &harness.WatchdogConfig{},
 			FaultPlan:    plan,
 			Policy:       o.policy,
 			Deadline:     o.deadline,
@@ -293,7 +287,7 @@ func campaign(o campaignOpts) int {
 					from = ", cached"
 				}
 				fmt.Printf("run %3d %s/%s seed=%d: ok (%d faults, %d commits, %d degradations%s)\n",
-					i, benchName, cfg, p.Seed, res.Faults.Total(), res.Watch.Commits, res.Watch.Degradations, from)
+					i, benchName, cfg, p.Seed, res.Faults.Total(), res.Stats.Commits, res.Stats.CommitsByMode[stats.CommitFallback], from)
 			}
 			rep.absorb(res, fmt.Sprintf("%s/%s seed=%d", benchName, cfg, p.Seed))
 			continue
@@ -333,12 +327,8 @@ func campaign(o campaignOpts) int {
 		fmt.Printf("clearchaos: expected a caught fault but all %d runs survived — detectors are blind\n", o.runs)
 		return 1
 	}
-	ok := rep.retryViolations == 0
 	fmt.Printf("clearchaos: %d runs x plan {%s} in %v: all invariant-clean, single-retry bound held\n",
 		o.runs, o.plan, time.Since(start).Round(time.Millisecond))
-	if !ok {
-		return 1
-	}
 	return 0
 }
 

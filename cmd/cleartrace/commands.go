@@ -172,7 +172,7 @@ func cmdSummary(args []string) error {
 		kinds[e.Kind]++
 	}
 	fmt.Println("events by kind:")
-	for k := trace.KindInvocationStart; k <= trace.KindEvict; k++ {
+	for k := trace.KindInvocationStart; k < trace.NumKinds; k++ {
 		if kinds[k] > 0 {
 			fmt.Printf("  %-14s %8d\n", k, kinds[k])
 		}
@@ -326,7 +326,7 @@ func cmdVerify(args []string) error {
 			return fmt.Errorf("record %d: tick %d < previous %d (stream not time-ordered)", i, e.Tick, last)
 		}
 		last = e.Tick
-		if int(e.Core) >= meta.Cores {
+		if int(e.Core) >= meta.Cores && (e.Kind != trace.KindFault || e.Core != trace.NoCore) {
 			return fmt.Errorf("record %d: core %d out of range (header says %d cores)", i, e.Core, meta.Cores)
 		}
 	}

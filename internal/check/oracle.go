@@ -1,7 +1,7 @@
 // Package check implements the opt-in runtime invariant oracle for the
 // simulated CLEAR machine. Attached to a cpu.Machine, it observes every
 // directory transition (through coherence.Observer) and every atomic-region
-// attempt boundary (through cpu.Probe) and asserts four properties on each:
+// attempt boundary (through cpu.Probe) and asserts five properties on each:
 //
 //  1. MESI consistency: single writer, lockedBy==owner while locked, the
 //     requester registered after every successful access, and every line a
@@ -15,6 +15,8 @@
 //     never a second plain speculative re-execution.
 //  4. Footprint immutability: an NS-CL re-execution touches exactly the
 //     lines discovery learned.
+//  5. Liveness: while invocations are in flight, some core commits within
+//     every LivelockWindow ticks. Check samples it between event slices.
 //
 // The oracle is read-only and digest-transparent: it never mutates machine
 // state, consults no RNG, and its periodic full-state audits ride the event
@@ -41,6 +43,24 @@ const DefaultAuditPeriod sim.Tick = 2048
 // MaxRecordedViolations bounds how many violations keep their full message;
 // further ones only increment the counter.
 const MaxRecordedViolations = 64
+
+// LivelockWindow is the liveness bound: a run with invocations in flight
+// must commit at least once in every window of this many ticks — two orders
+// of magnitude above any commit gap observed in the baseline sweeps.
+const LivelockWindow sim.Tick = 3_000_000
+
+// CheckEvery is the tick period at which a guarded run pauses between event
+// slices to call Check.
+const CheckEvery sim.Tick = 200_000
+
+// Report is what the oracle measures that the run statistics do not.
+type Report struct {
+	// MaxConflictRetries is the worst conflict-counted retry total observed
+	// at any commit.
+	MaxConflictRetries int
+	// MaxCommitLatency is the worst invocation-start-to-commit latency.
+	MaxCommitLatency sim.Tick
+}
 
 // Commit is one entry of the oracle's commit log: the serialization order
 // the differential fuzz checker replays.
@@ -76,6 +96,11 @@ type coreState struct {
 	// NS-CL footprint bookkeeping.
 	footprint map[mem.LineAddr]bool
 	touched   map[mem.LineAddr]bool
+
+	// Liveness and latency: an invocation is in flight from its start to
+	// its commit.
+	inFlight bool
+	invStart sim.Tick
 }
 
 // Oracle is the runtime invariant checker. Create with Attach; inspect with
@@ -91,13 +116,19 @@ type Oracle struct {
 	cores     []coreState
 	commitLog []Commit
 
+	// active counts invocations in flight; lastProgress is the tick of the
+	// last commit (or of the first invocation start, before any commit).
+	active       int
+	lastProgress sim.Tick
+	report       Report
+
 	violations []Violation
 	total      int
 }
 
-// Attach wires an oracle into m: it installs itself as the machine's probe
-// and the directory's observer and schedules the first periodic audit. Call
-// before Machine.Run; call Finish after.
+// Attach wires an oracle into m through the AddProbe/AddObserver tee seams
+// and schedules the first periodic audit. Call before Machine.Run (or
+// RunGuarded with Check as the guard); call Finish after.
 func Attach(m *cpu.Machine) *Oracle {
 	o := &Oracle{
 		m:            m,
@@ -111,16 +142,10 @@ func Attach(m *cpu.Machine) *Oracle {
 		o.cores[i].touched = make(map[mem.LineAddr]bool)
 	}
 	o.auditFn = o.audit
-	m.SetProbe(o)
-	m.Dir.SetObserver(o)
+	m.AddProbe(o)
+	m.Dir.AddObserver(o)
 	m.Engine.Schedule(o.auditPeriod, o.auditFn)
 	return o
-}
-
-// Detach removes the oracle from the machine (tests reuse machines).
-func (o *Oracle) Detach() {
-	o.m.SetProbe(nil)
-	o.dir.SetObserver(nil)
 }
 
 func (o *Oracle) fail(prop string, core int, format string, args ...any) {
@@ -144,6 +169,20 @@ func (o *Oracle) ViolationCount() int { return o.total }
 
 // CommitLog returns the observed commit order (the serialization witness).
 func (o *Oracle) CommitLog() []Commit { return o.commitLog }
+
+// Report returns the worst-case retry count and commit latency seen so far.
+func (o *Oracle) Report() Report { return o.report }
+
+// Check is the guard for Machine.RunGuarded: it samples the liveness
+// property and returns Err, so any violation — of any property — stops the
+// run at the next slice boundary. A run that already has a violation is
+// stopping, so a livelock is reported only when nothing else was.
+func (o *Oracle) Check() error {
+	if gap := o.m.Engine.Now() - o.lastProgress; o.total == 0 && o.active > 0 && gap > LivelockWindow {
+		o.fail(PropLiveness, -1, "livelock: no commit for %d ticks with %d invocations in flight", gap, o.active)
+	}
+	return o.Err()
+}
 
 // Err returns nil when no invariant was violated, else an error naming the
 // first violation and the total count.
@@ -223,16 +262,19 @@ func (o *Oracle) OnLock(core int, line mem.LineAddr, res coherence.LockResult) {
 // spinning on; reaching core again means a wait cycle (a deadlock the
 // lexicographic order should make impossible).
 func (o *Oracle) checkWaitCycle(core int, line mem.LineAddr) {
+	var chain []int // waiting holders between core and the closing edge
 	cur := o.dir.LockedBy(line)
 	for hops := 0; cur >= 0 && hops < len(o.cores); hops++ {
 		if cur == core {
-			o.fail(PropLockOrder, core, "waits-for cycle through lock on %s", line)
+			o.fail(PropLockOrder, core, "waits-for cycle among cores %v through lock on %s",
+				append([]int{core}, chain...), line)
 			return
 		}
 		h := &o.cores[cur]
 		if !h.waiting {
 			return
 		}
+		chain = append(chain, cur)
 		cur = o.dir.LockedBy(h.waitingOn)
 	}
 }
@@ -266,9 +308,19 @@ func (o *Oracle) checkLine(line mem.LineAddr) {
 // ---------------------------------------------------------------------------
 // cpu.Probe
 
-// OnInvocationStart resets the per-invocation shadow state.
+// OnInvocationStart resets the per-invocation shadow state and, for the
+// first work of the run, opens the liveness window.
 func (o *Oracle) OnInvocationStart(core int, progID int) {
 	cs := &o.cores[core]
+	now := o.m.Engine.Now()
+	if !cs.inFlight {
+		o.active++
+	}
+	cs.inFlight = true
+	cs.invStart = now
+	if o.active == 1 && len(o.commitLog) == 0 {
+		o.lastProgress = now
+	}
 	cs.converted = false
 	cs.haveExpect = false
 	cs.waiting = false
@@ -370,9 +422,10 @@ func (o *Oracle) OnConflict(core int, line mem.LineAddr, isWrite bool, requester
 
 // OnCommit checks exclusivity of the committing stores and, for NS-CL, that
 // the re-execution touched exactly the discovered footprint; it also appends
-// the commit to the serialization log.
+// the commit to the serialization log and closes the liveness window.
 func (o *Oracle) OnCommit(info cpu.CommitInfo) {
 	cs := &o.cores[info.Core]
+	now := o.m.Engine.Now()
 	for _, line := range info.StoreLines {
 		switch info.Mode {
 		case cpu.ModeSpeculative:
@@ -401,11 +454,22 @@ func (o *Oracle) OnCommit(info cpu.CommitInfo) {
 		}
 	}
 	o.commitLog = append(o.commitLog, Commit{
-		Tick:   o.m.Engine.Now(),
+		Tick:   now,
 		Core:   info.Core,
 		ProgID: info.ProgID,
 		Mode:   info.Mode,
 	})
+	if info.ConflictRetries > o.report.MaxConflictRetries {
+		o.report.MaxConflictRetries = info.ConflictRetries
+	}
+	if cs.inFlight {
+		if lat := now - cs.invStart; lat > o.report.MaxCommitLatency {
+			o.report.MaxCommitLatency = lat
+		}
+		cs.inFlight = false
+		o.active--
+	}
+	o.lastProgress = now
 	cs.converted = false
 	cs.haveExpect = false
 	cs.waiting = false

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Property names the four checked invariant families (see DESIGN.md,
+// Property names the five checked invariant families (see DESIGN.md,
 // "Verification").
 const (
 	// PropMESI: directory single-writer / sharer-bitset consistency, and
@@ -23,6 +23,9 @@ const (
 	// PropFootprint: an NS-CL re-execution touches exactly the footprint
 	// discovery learned (immutability held in practice).
 	PropFootprint = "footprint"
+	// PropLiveness: forward progress — while invocations are in flight,
+	// some core commits within every LivelockWindow ticks.
+	PropLiveness = "liveness"
 )
 
 // Violation is one invariant failure the oracle observed.

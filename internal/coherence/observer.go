@@ -25,10 +25,6 @@ type Observer interface {
 	OnEvict(core int, line mem.LineAddr)
 }
 
-// SetObserver installs (or, with nil, removes) the directory observer,
-// replacing whatever was attached before.
-func (d *Directory) SetObserver(o Observer) { d.obs = o }
-
 // AddObserver attaches o alongside any observer already installed:
 // notifications fan out to every attached observer in attachment order.
 // With no observer the hot path keeps paying only the nil comparison; a

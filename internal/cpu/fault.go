@@ -11,7 +11,7 @@ import "repro/internal/sim"
 // Every hook models a *tolerable* disturbance — a denied token, an early
 // abort, a stalled holder — except ForceSecondSpecRetry and
 // LoseInvalidation, which plant bugs on purpose so tests and campaigns can
-// prove the oracle, the watchdog and the litmus checker detect them.
+// prove the oracle and the litmus checker detect them.
 type FaultHook interface {
 	// DenyPowerClaim refuses a PowerTM token claim for core (a periodic
 	// denial window); the retry proceeds without priority.

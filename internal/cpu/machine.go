@@ -220,9 +220,9 @@ func (m *Machine) Run(maxTicks sim.Tick) error {
 
 // RunGuarded runs like Run but pauses the event loop every `every` simulated
 // ticks to call guard. A non-nil guard error stops the run and is returned
-// verbatim — the forward-progress watchdog uses this to convert a detected
-// livelock, wait cycle, or retry-bound violation into a structured failure
-// before the tick budget burns out. Guard callbacks run between events and
+// verbatim — harness.Run passes the invariant oracle's Check here, so a
+// livelock or any other oracle violation becomes a structured failure at the
+// next slice boundary instead of after the tick budget burns out. Guard callbacks run between events and
 // must not schedule anything, so a nil-returning guard leaves the run
 // bit-identical to an unguarded one. every==0 or guard==nil degrades to a
 // single uninterrupted RunUntil.

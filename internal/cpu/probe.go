@@ -97,10 +97,6 @@ type CommitInfo struct {
 	StoreLines []mem.LineAddr
 }
 
-// SetProbe installs (or, with nil, removes) the machine's attempt probe,
-// replacing whatever was attached before.
-func (m *Machine) SetProbe(p Probe) { m.probe = p }
-
 // AddProbe attaches p alongside any probe already installed: notifications
 // fan out to every attached probe in attachment order. Detached machines
 // keep paying only the single nil comparison; a solo probe is called

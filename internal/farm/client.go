@@ -226,7 +226,7 @@ func (c *Client) Runner() harness.RunnerFunc {
 				Dir:    rec.Dir,
 				Energy: rec.Energy,
 				Faults: rec.Faults,
-				Watch:  rec.Watch,
+				Oracle: rec.Oracle,
 			}, nil, st.CacheHit
 		case StateQuarantined:
 			return nil, failWith("farm quarantined after %d attempts: %s", st.Attempts, st.Failure), false

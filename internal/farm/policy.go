@@ -88,11 +88,10 @@ func (p RetryPolicy) Backoff(key string, retry int) time.Duration {
 }
 
 // Retryable classifies a RunFailure reason under the farm's policy: host-
-// side flakiness — a worker panic, a blown wall deadline, a watchdog verdict
-// (which fault plans and host pressure can perturb) — earns another attempt;
-// a correctness verdict (an oracle invariant violation, a failed workload
-// verification) is deterministic badness that no retry fixes and fails the
-// job immediately.
+// side flakiness — a worker panic, a blown wall deadline — earns another
+// attempt; a verdict on the simulated run (an oracle violation, livelock
+// included, or a failed workload verification) is a pure function of the
+// run spec that no retry fixes, and fails the job immediately.
 func Retryable(reason string) bool {
 	switch {
 	case strings.Contains(reason, "check:"), // oracle invariant violation
@@ -100,8 +99,7 @@ func Retryable(reason string) bool {
 		return false
 	case strings.HasPrefix(reason, "panic:"),
 		strings.Contains(reason, "worker panic"),
-		strings.Contains(reason, "wall deadline"),
-		strings.Contains(reason, "watchdog:"):
+		strings.Contains(reason, "wall deadline"):
 		return true
 	}
 	return false

@@ -63,7 +63,7 @@ func TestRetryableClassification(t *testing.T) {
 		{"worker panic: runtime error: index out of range", true},
 		{"panic: boom", true},
 		{"harness: hashmap/C seed 1: wall deadline 50ms exceeded", true},
-		{"watchdog: core 3 starved for 200000 ticks", true},
+		{"check: 1 invariant violation(s); first: [tick 3200000 core -1] liveness: livelock: no commit for 3000001 ticks with 4 invocations in flight", false},
 		{"check: 2 invariant violation(s)", false},
 		{"harness: hashmap/C seed 1: verification failed: lost update", false},
 		{"aggregate: no results", false},

@@ -19,7 +19,7 @@
 //
 // The two exceptions are the planted bugs, which exist to prove the
 // detectors fire: KindSecondSpecRetry (Plan.SecondSpecRetryRate) breaks the
-// single-retry bound for the internal/check oracle and the watchdog, and
+// single-retry bound for the internal/check oracle, and
 // KindLostInvalidation (Plan.LostInvalidationRate) breaks conflict
 // detection for the internal/litmus axiomatic checker. They are the only
 // way to plant a bug in the simulator.
@@ -74,8 +74,8 @@ const (
 	KindHolderStall
 	// KindSecondSpecRetry: the §4.3 decision tree deliberately broken — a
 	// convertible assessment followed by a second plain speculative retry.
-	// This is a *planted bug*, not a tolerable fault: the oracle and the
-	// watchdog must catch it (campaigns use it to prove they can).
+	// This is a *planted bug*, not a tolerable fault: the oracle must catch
+	// it (campaigns use it to prove they can).
 	KindSecondSpecRetry
 	// KindLostInvalidation: conflict detection deliberately broken — a
 	// speculative holder losing a line to a requester-wins conflict yields

@@ -4,11 +4,12 @@ import "repro/internal/sim"
 
 // ShrinkPlan greedily minimises a failing plan: failing(p) must
 // deterministically report whether plan p still reproduces the failure
-// (watchdog trip, oracle violation, crash). The shrinker first tries to
-// disable whole fault kinds, then halves the surviving rates and magnitudes
-// while the failure persists. Because both the injector and the simulation
-// are seed-deterministic, every candidate evaluation is an exact replay —
-// the same discipline as the litmus-case shrinker in internal/check/fuzz.
+// (an oracle violation, livelocks included, or a crash). The shrinker first
+// tries to disable whole fault kinds, then halves the surviving rates and
+// magnitudes while the failure persists. Because both the injector and the
+// simulation are seed-deterministic, every candidate evaluation is an exact
+// replay — the same discipline as the litmus-case shrinker in
+// internal/check/fuzz.
 //
 // The returned plan is a new value; the input is not modified. If the input
 // plan does not fail, it is returned unchanged (cloned).

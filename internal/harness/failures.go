@@ -13,7 +13,7 @@ type RunFailure struct {
 	Config     ConfigID
 	RetryLimit int
 	Seed       uint64
-	// Reason is the human-readable failure cause (error text, watchdog
+	// Reason is the human-readable failure cause (error text, oracle
 	// verdict, or panic value).
 	Reason string
 	// Stack is the goroutine stack at the recovery point; empty unless the

@@ -111,13 +111,12 @@ func TestOracleAndVerificationHoldUnderFaults(t *testing.T) {
 				p := faultTestParams("queue", cfg)
 				p.Oracle = true
 				p.FaultPlan = plan
-				p.Watchdog = &WatchdogConfig{}
 				res, err := Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Watch.RetryBoundViolations != 0 {
-					t.Fatalf("%d single-retry-bound violations under tolerable faults", res.Watch.RetryBoundViolations)
+				if res.Oracle == nil {
+					t.Fatal("oracle run returned no oracle report")
 				}
 			})
 		}
@@ -173,16 +172,17 @@ func TestFaultEventsReachTrace(t *testing.T) {
 
 // TestWatchdogCatchesPlantedSecondSpecRetry: the forced second speculative
 // retry after a convertible assessment is the exact bug CLEAR's single-retry
-// bound forbids; the watchdog must turn it into a run failure.
+// bound forbids; the oracle, as the run's guard, must turn it into a run
+// failure.
 func TestWatchdogCatchesPlantedSecondSpecRetry(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, SecondSpecRetryRate: 1}
 	p := faultTestParams("hashmap", ConfigC)
 	p.FaultPlan = plan
-	p.Watchdog = &WatchdogConfig{}
+	p.Oracle = true
 
 	res, fail := RunChecked(p)
 	if fail == nil {
-		t.Fatalf("planted second-spec-retry fault not caught (run stats: %v)", res.Watch)
+		t.Fatalf("planted second-spec-retry fault not caught (oracle report: %+v)", res.Oracle)
 	}
 	if !strings.Contains(fail.Reason, "speculative") {
 		t.Fatalf("failure reason does not name the violation: %s", fail.Reason)
@@ -234,20 +234,20 @@ func TestLostInvalidationFiresAndTraces(t *testing.T) {
 
 // TestWatchdogCatchesPlantedLivelock: a lock acquisition denied forever
 // (LockStallRate=1) starves the CL lock walk, which has no retry budget;
-// the watchdog's no-commit window must detect the livelock instead of
-// letting the run spin until MaxTicks.
+// the oracle's liveness property (no commit within check.LivelockWindow)
+// must detect the livelock instead of letting the run spin until MaxTicks.
 func TestWatchdogCatchesPlantedLivelock(t *testing.T) {
 	plan := &fault.Plan{Seed: 1, LockStallRate: 1, LockStallTicks: 50}
 	p := faultTestParams("arrayswap", ConfigM)
 	p.FaultPlan = plan
-	p.Watchdog = &WatchdogConfig{LivelockWindow: 500_000, CheckEvery: 50_000}
+	p.Oracle = true
 
 	_, fail := RunChecked(p)
 	if fail == nil {
 		t.Fatal("planted livelock not caught")
 	}
-	if !strings.Contains(fail.Reason, "livelock") {
-		t.Fatalf("failure reason does not name the livelock: %s", fail.Reason)
+	if !strings.Contains(fail.Reason, "liveness: livelock") {
+		t.Fatalf("failure reason does not name the liveness violation: %s", fail.Reason)
 	}
 }
 
@@ -263,7 +263,7 @@ func TestShrinkPlanIsolatesPlantedFault(t *testing.T) {
 	plan.SecondSpecRetryRate = 1
 
 	p := faultTestParams("hashmap", ConfigC)
-	p.Watchdog = &WatchdogConfig{}
+	p.Oracle = true
 	p.FaultPlan = plan
 
 	failing := func(cand *fault.Plan) bool {

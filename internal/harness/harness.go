@@ -103,8 +103,10 @@ type RunParams struct {
 	// SLE selects in-core speculation instead of HTM (§4.1 vs §4.2).
 	SLE bool
 	// Oracle attaches the internal/check runtime invariant oracle to the
-	// run; a violation is returned as an error. Off by default (the oracle
-	// is digest-transparent but costs host time).
+	// run and makes it the run's guard: any violation, including a livelock
+	// (no commit within check.LivelockWindow ticks), stops the run and is
+	// returned as an error. Off by default (the oracle is digest-transparent
+	// but costs host time).
 	Oracle bool
 	// Mesh swaps the crossbar for a 2D mesh interconnect.
 	Mesh bool
@@ -131,10 +133,6 @@ type RunParams struct {
 	// deadline. Exceeding it stops the event loop with an error — the sweep
 	// hardening that keeps one pathological cell from hanging a matrix.
 	Deadline time.Duration
-	// Watchdog, when non-nil, attaches the forward-progress watchdog with
-	// the given configuration (zero value = defaults); livelocks, persistent
-	// waits-for cycles, and single-retry-bound violations become run errors.
-	Watchdog *WatchdogConfig
 	// FaultPlan, when non-nil, attaches the internal/fault injector driven
 	// by the plan. A nil plan keeps every seam detached (zero cost); an
 	// empty plan attaches but fires nothing and leaves digests byte-
@@ -188,8 +186,9 @@ type RunResult struct {
 	Energy float64
 	// Faults reports what the injector fired (nil without a FaultPlan).
 	Faults *fault.Stats
-	// Watch is the watchdog's robustness report (nil without a Watchdog).
-	Watch *WatchdogReport
+	// Oracle is the oracle's worst-case report (nil without
+	// RunParams.Oracle).
+	Oracle *check.Report
 }
 
 // Run executes one simulation end to end: setup, execution, verification.
@@ -208,9 +207,8 @@ func Run(p RunParams) (*RunResult, error) {
 		feeds[tid] = bench.Source(tid, rng.Split(), p.OpsPerThread)
 	}
 	machine.AttachFeeds(feeds)
-	// Attachment order matters: the oracle claims the probe/observer slots
-	// with Set*, so it must attach first; the tracer and metrics collector
-	// attach afterwards through the Add* tee seams.
+	// Observers attach through the AddProbe/AddObserver tees and are called
+	// in attachment order: oracle, tracer, metrics.
 	var oracle *check.Oracle
 	if p.Oracle {
 		oracle = check.Attach(machine)
@@ -240,10 +238,6 @@ func Run(p RunParams) (*RunResult, error) {
 			ins.ActiveRuns.Add(-1)
 		}()
 	}
-	var dog *Watchdog
-	if p.Watchdog != nil {
-		dog = AttachWatchdog(machine, *p.Watchdog)
-	}
 	// The injector attaches last: hooks above observe the (perturbed) run,
 	// and the injector's recorder feeds fault events into the tracer.
 	inj := fault.Attach(machine, p.FaultPlan)
@@ -252,15 +246,10 @@ func Run(p RunParams) (*RunResult, error) {
 	}
 
 	var guard func() error
-	var every sim.Tick
-	if dog != nil {
-		every = dog.cfg.CheckEvery
-		guard = dog.Check
+	if oracle != nil {
+		guard = oracle.Check
 	}
 	if p.Deadline > 0 {
-		if every == 0 {
-			every = 200_000
-		}
 		inner := guard
 		start := time.Now()
 		guard = func() error {
@@ -273,15 +262,8 @@ func Run(p RunParams) (*RunResult, error) {
 			return nil
 		}
 	}
-	if err := machine.RunGuarded(p.MaxTicks, every, guard); err != nil {
+	if err := machine.RunGuarded(p.MaxTicks, check.CheckEvery, guard); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s seed %d: %w", p.Benchmark, p.Config, p.Seed, err)
-	}
-	if dog != nil {
-		// One final sweep so a violation in the last event slice is not
-		// lost.
-		if err := dog.Check(); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s seed %d: %w", p.Benchmark, p.Config, p.Seed, err)
-		}
 	}
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {
@@ -307,9 +289,9 @@ func Run(p RunParams) (*RunResult, error) {
 		fs := inj.Stats()
 		res.Faults = &fs
 	}
-	if dog != nil {
-		wr := dog.Report()
-		res.Watch = &wr
+	if oracle != nil {
+		rep := oracle.Report()
+		res.Oracle = &rep
 	}
 	res.Energy = stats.DefaultEnergyModel().Energy(machine.Stats, machine.Dir.Stats, p.Cores)
 	return res, nil

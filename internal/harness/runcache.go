@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/coherence"
 	"repro/internal/fault"
 	"repro/internal/runstore"
@@ -48,13 +49,6 @@ func (p RunParams) Spec() runstore.RunSpec {
 
 		Salt: cacheSalt(),
 	}
-	if p.Watchdog != nil {
-		// %+v over the flat config struct renders fields in declaration
-		// order — deterministic, and any new field changes the key (the
-		// safe direction). Defaults are normalised first so "zero value"
-		// and "explicit defaults" share a cache entry.
-		spec.Watchdog = fmt.Sprintf("%+v", p.Watchdog.withDefaults())
-	}
 	if p.FaultPlan != nil {
 		spec.FaultPlan = fmt.Sprintf("%+v", *p.FaultPlan)
 	}
@@ -91,7 +85,7 @@ type CacheRecord struct {
 	Dir    coherence.Stats `json:"dir"`
 	Energy float64         `json:"energy"`
 	Faults *fault.Stats    `json:"faults,omitempty"`
-	Watch  *WatchdogReport `json:"watch,omitempty"`
+	Oracle *check.Report   `json:"oracle,omitempty"`
 }
 
 // DecodeCacheRecord parses a runstore payload. A payload without stats is
@@ -125,13 +119,18 @@ func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 		// Put overwrite it.
 		return nil, false
 	}
+	if p.Oracle && rec.Oracle == nil {
+		// An oracle run cached before the oracle kept a report: rerun it
+		// rather than replay a result that lacks one.
+		return nil, false
+	}
 	return &RunResult{
 		Params: p,
 		Stats:  rec.Stats,
 		Dir:    rec.Dir,
 		Energy: rec.Energy,
 		Faults: rec.Faults,
-		Watch:  rec.Watch,
+		Oracle: rec.Oracle,
 	}, true
 }
 
@@ -145,7 +144,7 @@ func EncodeCacheRecord(res *RunResult) ([]byte, error) {
 		Dir:    res.Dir,
 		Energy: res.Energy,
 		Faults: res.Faults,
-		Watch:  res.Watch,
+		Oracle: res.Oracle,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: encode cache record: %w", err)

@@ -29,7 +29,7 @@ var (
 		"MaxTicks", "SLE", "Oracle", "Mesh",
 		"DisableDiscoveryContinuation", "SCLLockAllReads",
 		"ERTEntries", "ALTEntries", "CRTEntries", "CRTWays",
-		"Watchdog", "FaultPlan", "Policy",
+		"FaultPlan", "Policy",
 	}
 	specHostSide = []string{
 		"TraceWriter", "TraceMem", "TraceDir", "Metrics", "Deadline",
@@ -83,11 +83,12 @@ func TestRunSpecGolden(t *testing.T) {
 			got, wantKey, spec.Canonical())
 	}
 
-	// Watchdog and fault-plan attachments must change the key.
-	pw := p
-	pw.Watchdog = &WatchdogConfig{}
-	if pw.Spec().Key() == wantKey {
-		t.Fatal("attaching a watchdog did not change the cache key")
+	// Attaching the oracle must change the key: it decides whether a run
+	// errors, and its report is part of the cached record.
+	po := p
+	po.Oracle = true
+	if po.Spec().Key() == wantKey {
+		t.Fatal("attaching the oracle did not change the cache key")
 	}
 
 	// Policy default-elision: the default policy must not touch the key —
@@ -138,6 +139,35 @@ func TestRunCachedRoundTrip(t *testing.T) {
 	}
 	if cold.Energy != warm.Energy {
 		t.Fatalf("cached energy %v != simulated %v", warm.Energy, cold.Energy)
+	}
+
+	// An oracle run caches its report: the warm report equals the cold one.
+	po := p
+	po.Oracle = true
+	cold, fail, hit = RunCheckedCached(st, po)
+	if fail != nil || hit {
+		t.Fatalf("cold oracle run: fail=%v hit=%v", fail, hit)
+	}
+	warm, fail, hit = RunCheckedCached(st, po)
+	if fail != nil || !hit {
+		t.Fatalf("warm oracle run: fail=%v hit=%v", fail, hit)
+	}
+	if cold.Oracle == nil || warm.Oracle == nil || *cold.Oracle != *warm.Oracle {
+		t.Fatalf("cached oracle report %+v != simulated %+v", warm.Oracle, cold.Oracle)
+	}
+	// A record under an oracle key that carries no report (written before
+	// the oracle kept one) is a miss, never a replay without the report.
+	stale := *cold
+	stale.Oracle = nil
+	payload, err := EncodeCacheRecord(&stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(po.Spec().Key(), payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := LookupCached(st, po); hit {
+		t.Fatal("an oracle run was served a cached record without an oracle report")
 	}
 
 	// A traced run is not cacheable: it must simulate even with a warm store.

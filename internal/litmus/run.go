@@ -149,7 +149,9 @@ func Run(t *Test, opts RunOpts) RunResult {
 		res.Err = err
 		return res
 	}
-	fault.Attach(machine, seededPlan(opts.Plan, opts.Seed))
+	if inj := fault.Attach(machine, seededPlan(opts.Plan, opts.Seed)); inj != nil {
+		inj.SetRecorder(tr)
+	}
 
 	// Per-invocation think jitter spreads the threads' entry points so the
 	// seed sweep explores genuinely different interleavings.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // testSeeds keeps the in-package sweep quick; the 32-seed acceptance sweep
@@ -61,6 +62,44 @@ func TestCorpusConformanceUnderFaults(t *testing.T) {
 			t.Errorf("%s/%s under faults: first failure:\n%s",
 				cell.Test.Name, cell.Config, cell.Failures[0])
 		}
+	}
+}
+
+// TestRunTracesFaults: a run under a fault plan records the faults it fires
+// in its trace, sim-layer faults (no attributable core) as trace.NoCore.
+func TestRunTracesFaults(t *testing.T) {
+	plan, err := fault.PresetPlan("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := Lookup("corr+ar")
+	faults := 0
+	for _, seed := range DefaultSeeds(8) {
+		var buf bytes.Buffer
+		r := Run(tt, RunOpts{Config: harness.ConfigP, Seed: seed, Plan: plan, TraceOut: &buf})
+		if r.Err != nil {
+			t.Fatalf("seed %d: %v", seed, r.Err)
+		}
+		rd, err := trace.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := rd.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			if e.Kind != trace.KindFault {
+				continue
+			}
+			faults++
+			if int(e.Core) >= len(tt.Threads) && e.Core != trace.NoCore {
+				t.Errorf("seed %d: fault event on core %d of a %d-thread test", seed, e.Core, len(tt.Threads))
+			}
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no fault event reached a litmus trace over 8 seeds")
 	}
 }
 

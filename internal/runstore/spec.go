@@ -58,11 +58,6 @@ type RunSpec struct {
 	CRTEntries int
 	CRTWays    int
 
-	// Watchdog is the canonical rendering of the attached watchdog
-	// configuration ("" = detached). The watchdog is digest-transparent but
-	// decides whether a run errors, and its report is part of the cached
-	// payload, so it keys the record.
-	Watchdog string
 	// FaultPlan is the canonical rendering of the attached fault plan
 	// ("" = none). Fault injection perturbs the simulation, so two runs
 	// under different plans are different cache entries.
@@ -104,7 +99,9 @@ func (s RunSpec) Canonical() string {
 	fmt.Fprintf(&b, "alt_entries=%d\n", s.ALTEntries)
 	fmt.Fprintf(&b, "crt_entries=%d\n", s.CRTEntries)
 	fmt.Fprintf(&b, "crt_ways=%d\n", s.CRTWays)
-	fmt.Fprintf(&b, "watchdog=%s\n", s.Watchdog)
+	// The retired forward-progress watchdog keyed runs here; the line stays,
+	// always empty, so every key derived without a watchdog still resolves.
+	b.WriteString("watchdog=\n")
 	fmt.Fprintf(&b, "fault_plan=%s\n", s.FaultPlan)
 	if s.Policy != "" {
 		// Default-elision: the policy line appears only for non-default

@@ -54,7 +54,7 @@ func (a scheduledEvent) less(b scheduledEvent) bool {
 // bucketed per tick instead of entering the heap. 256 covers every latency
 // the memory hierarchy composes on the hot path — including a full memory
 // fetch (two crossbar links + directory + DRAM ≈ 137 ticks) — so the heap
-// only sees long think times, backoff tails, and watchdog timers. The
+// only sees long think times, backoff tails, and oracle audit timers. The
 // nonempty-bucket scan is a four-word bitmap walk, so widening the horizon
 // does not lengthen the search. Must be a power of two.
 const laneTicks = 256

@@ -72,12 +72,18 @@ const (
 	// Addr=line.
 	KindEvict
 	// KindFault: the fault injector fired. Arg0=fault kind
-	// (internal/fault.Kind), Core=0xff for sim-layer faults not attributable
-	// to a core, Addr=target line (0 if none), Arg3=injected extra ticks.
+	// (internal/fault.Kind), Core=NoCore for sim-layer faults not
+	// attributable to a core, Addr=target line (0 if none), Arg3=injected
+	// extra ticks.
 	KindFault
 
-	numKinds
+	// NumKinds is one past the last event kind.
+	NumKinds
 )
+
+// NoCore is the Core of a fault event that no core caused: a sim-layer
+// fault such as an event delay.
+const NoCore uint8 = 0xff
 
 func (k Kind) String() string {
 	switch k {
@@ -110,7 +116,7 @@ func (k Kind) String() string {
 // KindFromString resolves the Kind named s (the String form); ok=false for
 // unknown names. The cleartrace -kind filter uses it.
 func KindFromString(s string) (Kind, bool) {
-	for k := Kind(1); k < numKinds; k++ {
+	for k := Kind(1); k < NumKinds; k++ {
 		if k.String() == s {
 			return k, true
 		}

@@ -129,7 +129,7 @@ func (rd *Reader) Next() (Event, error) {
 		Addr: binary.LittleEndian.Uint64(rec[16:]),
 		Arg3: binary.LittleEndian.Uint64(rec[24:]),
 	}
-	if e.Kind == 0 || e.Kind >= numKinds {
+	if e.Kind == 0 || e.Kind >= NumKinds {
 		return Event{}, fmt.Errorf("trace: corrupt record: unknown kind %d", uint8(e.Kind))
 	}
 	return e, nil

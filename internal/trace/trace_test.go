@@ -385,7 +385,7 @@ func TestSampleIntervals(t *testing.T) {
 // TestKindStringRoundTrip checks KindFromString inverts String for every
 // kind.
 func TestKindStringRoundTrip(t *testing.T) {
-	for k := Kind(1); k < numKinds; k++ {
+	for k := Kind(1); k < NumKinds; k++ {
 		got, ok := KindFromString(k.String())
 		if !ok || got != k {
 			t.Fatalf("round trip failed for %v", k)

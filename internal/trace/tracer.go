@@ -318,13 +318,13 @@ func (t *Tracer) OnEvict(core int, line mem.LineAddr) {
 // --- fault.Recorder ---
 
 // RecordFault records one fired fault from the injector (core -1, a
-// sim-layer fault with no attributable core, is stored as 0xff). The record
+// sim-layer fault with no attributable core, is stored as NoCore). The record
 // carries the fault kind, the target line (0 if none), and the injected
 // extra ticks, so offline tools can correlate perturbations with the
 // protocol reactions around them.
 func (t *Tracer) RecordFault(core int, kind fault.Kind, ticks sim.Tick, line mem.LineAddr) {
 	if core < 0 {
-		core = 0xff
+		core = int(NoCore)
 	}
 	t.emit(KindFault, core, uint8(kind), 0, 0, uint64(line), uint64(ticks))
 }
