@@ -282,6 +282,22 @@ func BenchmarkHarnessRunHot(b *testing.B) {
 	}
 }
 
+// BenchmarkHarnessRunHotFallback is the per-run cell where waiting on the
+// fallback lock dominates: labyrinth under requester-wins at 32 cores × 32
+// ops (a cell of the repository benchmark's stamp-long workload), whose
+// long ARs mostly overflow into fallback while the other cores poll the
+// lock. It prices the parked-poll path of the event engine.
+func BenchmarkHarnessRunHotFallback(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := harness.DefaultRunParams("labyrinth", harness.ConfigB)
+		p.OpsPerThread = 32
+		if _, err := harness.Run(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHarnessRunHotTraced is the same run with the binary event
 // tracer attached (stream discarded): the delta against
 // BenchmarkHarnessRunHot prices the observability layer when it is ON; the

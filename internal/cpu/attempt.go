@@ -98,9 +98,8 @@ func (c *Core) beginSpeculative() {
 			}
 		}
 		// Jittered polling so the herd does not stampede when the lock
-		// frees.
-		wait := c.m.Cfg.SpinInterval + sim.Tick(c.rng.Intn(int(c.m.Cfg.SpinInterval)+1))
-		c.engine().Schedule(wait, c.beginAttemptFn)
+		// frees; the engine re-arms the poll until a release wakes it.
+		c.engine().Park(c.id, c.m.Cfg.SpinInterval, c.rng, waitFree, c.beginAttemptFn)
 		return
 	}
 	c.waitedOnLock = false
@@ -258,10 +257,7 @@ func (c *Core) abortNow(reason htm.AbortReason) {
 	if c.mode == ModeSCL || c.mode == ModeNSCL {
 		c.m.Dir.UnlockAll(c.id)
 		c.unpinAll()
-		if c.holdsReadLck {
-			c.m.Fallback.ReleaseRead(c.id)
-			c.holdsReadLck = false
-		}
+		c.releaseReadLock()
 	}
 
 	c.recordFig1Attempt(false)

@@ -39,7 +39,17 @@ func (c *Core) acquireFallbackReadLock() {
 		c.lockWalk(0)
 		return
 	}
-	c.engine().Schedule(c.m.Cfg.SpinInterval, c.acquireReadLckFn)
+	c.engine().Park(c.id, c.m.Cfg.SpinInterval, nil, waitFree, c.acquireReadLckFn)
+}
+
+// releaseReadLock drops the fallback read lock, if held, and wakes the
+// waiters the release lets through.
+func (c *Core) releaseReadLock() {
+	if c.holdsReadLck {
+		c.m.Fallback.ReleaseRead(c.id)
+		c.holdsReadLck = false
+		c.m.wakeLockWaiters()
+	}
 }
 
 // lockWalk acquires the cacheline locks the ALT marked NeedsLocking, in
@@ -130,10 +140,7 @@ func (c *Core) commitCL() {
 	c.m.Dir.UnlockAll(c.id)
 	c.unpinAll()
 	c.mode = ModeIdle
-	if c.holdsReadLck {
-		c.m.Fallback.ReleaseRead(c.id)
-		c.holdsReadLck = false
-	}
+	c.releaseReadLock()
 	if c.ertEntry != nil {
 		c.ertEntry.NoteCommit()
 	}

@@ -28,9 +28,33 @@ func (c *Core) enterFallback() {
 	c.tryAcquireFallbackWrite()
 }
 
+// Fallback-lock wait classes: the sim.WakeMask a parked waiter is released
+// by. Only ReleaseWrite and ReleaseRead can make either condition true, so
+// wakeLockWaiters runs after each of them and nowhere else.
+const (
+	// waitFree: a speculative start or a CL read-lock acquisition, which
+	// needs Fallback.Free().
+	waitFree sim.WakeMask = 1 << iota
+	// waitIdle: a fallback writer, which needs Fallback.Idle().
+	waitIdle
+)
+
+// wakeLockWaiters releases the parked waiters whose condition a fallback
+// lock release has just made true.
+func (m *Machine) wakeLockWaiters() {
+	var kinds sim.WakeMask
+	if m.Fallback.Free() {
+		kinds |= waitFree
+	}
+	if m.Fallback.Idle() {
+		kinds |= waitIdle
+	}
+	m.Engine.Wake(kinds)
+}
+
 func (c *Core) tryAcquireFallbackWrite() {
 	if !c.m.Fallback.TryAcquireWrite(c.id) {
-		c.engine().Schedule(c.m.Cfg.SpinInterval, c.tryFallbackWrFn)
+		c.engine().Park(c.id, c.m.Cfg.SpinInterval, nil, waitIdle, c.tryFallbackWrFn)
 		return
 	}
 	// Setting the lock busy requires exclusive permission on the lock line;
@@ -55,6 +79,7 @@ func (c *Core) commitFallback() {
 		})
 	}
 	c.m.Fallback.ReleaseWrite(c.id)
+	c.m.wakeLockWaiters()
 	c.pol.OnCommit(policy.Outcome{
 		ProgID:          c.inv.Prog.ID,
 		Mode:            policy.ExecFallback,

@@ -78,7 +78,7 @@ type SystemConfig struct {
 	// lockstep and convoy into the fallback path.
 	BackoffBase sim.Tick
 	// SpinInterval is the polling period while waiting on the fallback
-	// lock.
+	// lock (at least 1).
 	SpinInterval sim.Tick
 	// Seed drives the per-core backoff jitter (deterministic per run).
 	Seed uint64
@@ -139,6 +139,11 @@ func (c SystemConfig) Validate() error {
 	}
 	if c.SQEntries < 1 {
 		return fmt.Errorf("cpu: SQ size %d must be >= 1", c.SQEntries)
+	}
+	if c.SpinInterval < 1 {
+		// A zero poll period would stop simulated time while a core waits
+		// on the fallback lock, so the tick budget could never fire.
+		return fmt.Errorf("cpu: spin interval %d must be >= 1", c.SpinInterval)
 	}
 	return nil
 }

@@ -126,3 +126,19 @@ func TestAtomicCounterNSCL(t *testing.T) {
 		t.Fatalf("NS-CL workload fell back %d times", m.Stats.CommitsByMode[3])
 	}
 }
+
+// TestSpinIntervalMustBePositive: a zero poll period would stop simulated
+// time while a core waits on the fallback lock, so Validate rejects it; the
+// smallest legal period still runs a contended counter to completion.
+func TestSpinIntervalMustBePositive(t *testing.T) {
+	cfg := DefaultSystemConfig()
+	cfg.SpinInterval = 0
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted SpinInterval 0")
+	}
+	if _, err := NewMachine(cfg, mem.NewMemory(0x1000)); err == nil {
+		t.Fatal("NewMachine accepted SpinInterval 0")
+	}
+	cfg.SpinInterval = 1
+	runCounter(t, cfg, 8, 20, 1)
+}

@@ -37,6 +37,12 @@ func (f *FallbackLock) Free() bool {
 	return f.writer < 0 && f.writersWaiting.Empty()
 }
 
+// Idle reports whether a waiting writer may take the lock: no core holds it
+// in either mode.
+func (f *FallbackLock) Idle() bool {
+	return f.writer < 0 && f.readers.Empty()
+}
+
 // WriterHeld reports whether some core holds write (fallback) mode.
 func (f *FallbackLock) WriterHeld() bool { return f.writer >= 0 }
 
@@ -75,7 +81,7 @@ func (f *FallbackLock) TryAcquireWrite(core int) bool {
 	if !f.writersWaiting.Has(core) {
 		panic(fmt.Sprintf("htm: core %d acquiring fallback write lock without announcing", core))
 	}
-	if f.writer >= 0 || !f.readers.Empty() {
+	if !f.Idle() {
 		return false
 	}
 	f.writer = core
@@ -89,10 +95,4 @@ func (f *FallbackLock) ReleaseWrite(core int) {
 		panic(fmt.Sprintf("htm: core %d releasing fallback write lock held by %d", core, f.writer))
 	}
 	f.writer = -1
-}
-
-// WithdrawWriter cancels a pending write claim (not used on the normal
-// path; exists so tests can exercise writer back-off).
-func (f *FallbackLock) WithdrawWriter(core int) {
-	f.writersWaiting = f.writersWaiting.Remove(core)
 }

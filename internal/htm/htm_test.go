@@ -89,23 +89,23 @@ func TestFallbackWriterExcludesReaders(t *testing.T) {
 	if f.Free() || !f.WriterHeld() || f.Writer() != 0 {
 		t.Fatal("writer state wrong")
 	}
-	if f.TryAcquireRead(3) || tryWrite(f, 1) {
+	// A second writer waits: its announcement keeps the lock un-Free
+	// across the first writer's release, and it takes the lock next.
+	f.AnnounceWriter(1)
+	if f.TryAcquireRead(3) || f.TryAcquireWrite(1) {
 		t.Fatal("lock not exclusive")
 	}
 	f.ReleaseWrite(0)
+	if f.Free() || !f.Idle() {
+		t.Fatal("released lock must be idle but not free while writer 1 waits")
+	}
+	if !f.TryAcquireWrite(1) {
+		t.Fatal("waiting writer refused after release")
+	}
+	f.ReleaseWrite(1)
 	if !f.Free() {
 		t.Fatal("not free after writer release")
 	}
-}
-
-// tryWrite wraps announce+try+withdraw for the exclusivity check above.
-func tryWrite(f *FallbackLock, core int) bool {
-	f.AnnounceWriter(core)
-	ok := f.TryAcquireWrite(core)
-	if !ok {
-		f.WithdrawWriter(core)
-	}
-	return ok
 }
 
 func TestFallbackReleaseWithoutHoldPanics(t *testing.T) {

@@ -20,6 +20,15 @@
 //   - Popped slots (heap and lane) are zeroed so retired event closures
 //     become garbage immediately instead of being retained by backing
 //     arrays.
+//   - A waiter that re-polls a condition only a Wake can make true (a core
+//     spinning on the fallback lock) is a parked poll, not an event: one
+//     record per slot plus a 256-bucket calendar of slot masks that mirrors
+//     the lane. While the poll is dead the engine re-arms it in place,
+//     drawing the same jitter, delay perturbation and sequence number at
+//     the same (tick, seq) position as the callback's own reschedule
+//     would, so the run stays bit-identical; only a woken poll dispatches
+//     its callback. Executed therefore counts dispatched callbacks, not
+//     re-arms.
 package sim
 
 import (
@@ -72,6 +81,27 @@ type laneBucket struct {
 	evs  []scheduledEvent
 }
 
+// noSeq sorts after every real sequence number.
+const noSeq = ^uint64(0)
+
+// maxPollSlots bounds the slots Park accepts: the calendar keeps one bit
+// per slot in a 64-bit mask.
+const maxPollSlots = 64
+
+// WakeMask names the classes of condition a parked poll waits on; Wake
+// releases the polls parked with any class in its mask.
+type WakeMask uint8
+
+// pollSlot is one parked poll: call re-checks a condition every period
+// ticks, plus Intn(period+1) ticks drawn from rng when rng is non-nil.
+type pollSlot struct {
+	seq    uint64
+	period Tick
+	rng    *RNG
+	kinds  WakeMask
+	call   Event
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // engines with NewEngine.
 type Engine struct {
@@ -80,20 +110,31 @@ type Engine struct {
 	stopped bool
 
 	// lane holds events with at in [now, now+laneTicks), indexed by
-	// at&laneMask; laneLen is the total number of events across buckets.
-	// occ has one bit per bucket (set while the bucket is nonempty), so
-	// finding the earliest pending tick is a short bitmap walk instead of
-	// a bucket-by-bucket scan.
+	// at&laneMask; laneLen is the total number of events across buckets
+	// plus the parked polls in pollCal. occ has one bit per bucket (set
+	// while the bucket holds events or due polls), so finding the earliest
+	// pending tick is a short bitmap walk instead of a bucket-by-bucket
+	// scan.
 	lane    [laneTicks]laneBucket
 	occ     [laneWords]uint64
 	laneLen int
+
+	// pollCal mirrors the lane for parked polls: bit s of pollCal[i] is
+	// set while slot s's poll is due at the tick whose bucket is i. polls
+	// holds the slot records, grown on demand to the highest slot parked;
+	// parked has bit s set while slot s is in the calendar, live while a
+	// Wake has released it.
+	pollCal [laneTicks]uint64
+	polls   []pollSlot
+	parked  uint64
+	live    uint64
 
 	// heap is a binary min-heap (by scheduledEvent.less) of far-future
 	// events.
 	heap []scheduledEvent
 
-	// Executed counts how many events have run; exposed for tests and for
-	// the harness's progress accounting.
+	// Executed counts dispatched callbacks (a dead poll's re-arm is not
+	// one); exposed for tests and for the benchmark's event count.
 	Executed uint64
 
 	// perturb, when non-nil, maps each Schedule delay to the delay actually
@@ -135,9 +176,10 @@ func (e *Engine) Schedule(delay Tick, call Event) {
 }
 
 // SetDelayPerturb installs (or, with nil, removes) a delay-perturbation
-// function applied to every Schedule call. Fault injection uses it to add
-// bounded random latency to scheduled events; the perturbation must be
-// deterministic for the run to stay reproducible.
+// function applied to every Schedule call and every poll re-arm. Fault
+// injection uses it to add bounded random latency to scheduled events; the
+// perturbation must be deterministic for the run to stay reproducible, and
+// must not turn a poll's delay into zero.
 func (e *Engine) SetDelayPerturb(f func(Tick) Tick) { e.perturb = f }
 
 // ScheduleAt runs call at an absolute tick, which must not be in the past.
@@ -148,8 +190,102 @@ func (e *Engine) ScheduleAt(at Tick, call Event) {
 	e.Schedule(at-e.now, call)
 }
 
-// Pending reports how many events are waiting in the queue.
+// Pending reports how many events and parked polls are waiting in the
+// queue.
 func (e *Engine) Pending() int { return e.laneLen + len(e.heap) }
+
+// Park files call as slot's parked poll: a waiter that re-checks, every
+// period ticks plus Intn(period+1) drawn from rng when rng is non-nil, a
+// condition that only a Wake naming one of kinds can make true. The first
+// delay is drawn now. Until such a Wake, the engine re-arms the poll at
+// each due time itself, with the draws (jitter, perturbation, sequence
+// number) the callback's own reschedule would make at that point of the
+// event order; after it, the poll dispatches call once, like any event.
+// A slot holds one poll at a time; period must be at least 1.
+func (e *Engine) Park(slot int, period Tick, rng *RNG, kinds WakeMask, call Event) {
+	if call == nil {
+		panic("sim: Park called with nil event")
+	}
+	if slot < 0 || slot >= maxPollSlots || period < 1 {
+		panic(fmt.Sprintf("sim: Park(slot %d, period %d) out of range", slot, period))
+	}
+	if slot >= len(e.polls) {
+		e.polls = append(e.polls, make([]pollSlot, slot+1-len(e.polls))...)
+	}
+	bit := uint64(1) << uint(slot)
+	if e.parked&bit != 0 {
+		panic(fmt.Sprintf("sim: slot %d parked twice", slot))
+	}
+	p := &e.polls[slot]
+	p.period, p.rng, p.kinds, p.call = period, rng, kinds, call
+	e.parked |= bit
+	e.laneLen++
+	e.arm(p, bit)
+}
+
+// Wake releases every parked poll whose kinds intersect kinds: at its due
+// time it dispatches its callback instead of being re-armed. Waking a poll
+// whose condition is still false is harmless — its callback re-checks and
+// parks again — but a condition must never turn true without a Wake.
+func (e *Engine) Wake(kinds WakeMask) {
+	for m := e.parked &^ e.live; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		if e.polls[s].kinds&kinds != 0 {
+			e.live |= 1 << uint(s)
+		}
+	}
+}
+
+// arm draws a parked poll's next delay exactly as its callback would have
+// rescheduled itself — jitter, then perturbation, then a sequence number —
+// and files it in the calendar. A delay past the lane horizon (reachable
+// only under perturbation) makes the poll an ordinary heap event that
+// runs its callback.
+func (e *Engine) arm(p *pollSlot, bit uint64) {
+	delay := p.period
+	if p.rng != nil {
+		delay += Tick(p.rng.Intn(int(p.period) + 1))
+	}
+	if e.perturb != nil {
+		delay = e.perturb(delay)
+	}
+	if delay == 0 {
+		panic("sim: delay perturbation made a parked poll due in the current batch")
+	}
+	e.seq++
+	if delay >= laneTicks {
+		e.heapPush(scheduledEvent{at: e.now + delay, seq: e.seq, call: e.unpark(p, bit)})
+		return
+	}
+	p.seq = e.seq
+	idx := int(e.now+delay) & laneMask
+	e.pollCal[idx] |= bit
+	e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+}
+
+// unpark removes a poll from the parked set (its calendar bit is already
+// clear) and returns its callback.
+func (e *Engine) unpark(p *pollSlot, bit uint64) Event {
+	call := p.call
+	*p = pollSlot{}
+	e.parked &^= bit
+	e.live &^= bit
+	e.laneLen--
+	return call
+}
+
+// nextDue returns the slot and sequence number of the earliest poll due
+// in bucket idx, or noSeq when none is.
+func (e *Engine) nextDue(idx int) (int, uint64) {
+	slot, seq := -1, noSeq
+	for m := e.pollCal[idx]; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		if q := e.polls[s].seq; q < seq {
+			slot, seq = s, q
+		}
+	}
+	return slot, seq
+}
 
 // Stop makes the currently running Run or RunUntil call return after the
 // in-flight event completes.
@@ -224,10 +360,18 @@ func (e *Engine) Step() bool {
 
 // stepAt drains the batch due at tick t, which the caller has already
 // located (Step via its own scan, RunUntil via nextAt — sharing the scan
-// keeps the bitmap walk off the per-batch path twice).
+// keeps the bitmap walk off the per-batch path twice). A batch with parked
+// polls due takes stepPolls; the due mask is tested once per batch, and no
+// poll can join a batch already running, since every re-arm and Park is at
+// least one tick out. Batches without due polls keep the plain loop below:
+// folding them into the three-way merge measured ~10% slower dispatch.
 func (e *Engine) stepAt(t Tick) {
 	e.now = t
 	idx := int(t) & laneMask
+	if e.pollCal[idx] != 0 {
+		e.stepPolls(idx)
+		return
+	}
 	b := &e.lane[idx]
 	// Whether the heap's minimum lands on this very tick is monotone within
 	// the batch: every pending heap event has at >= t, and a callback's
@@ -265,6 +409,61 @@ func (e *Engine) stepAt(t Tick) {
 		if e.stopped {
 			return
 		}
+	}
+}
+
+// stepPolls drains the batch at bucket idx (tick e.now) when parked polls
+// are due in it, merging them with the lane bucket and the heap by
+// sequence number: a dead poll is re-armed at exactly the point of the
+// (tick, seq) order where its callback would have run, so the seq numbers
+// and random draws of everything after it are unchanged.
+func (e *Engine) stepPolls(idx int) {
+	b := &e.lane[idx]
+	heapSame := len(e.heap) > 0 && e.heap[0].at == e.now
+	ps, pseq := e.nextDue(idx)
+	for {
+		lseq, hseq := noSeq, noSeq
+		if b.head < len(b.evs) {
+			lseq = b.evs[b.head].seq
+		}
+		if heapSame {
+			hseq = e.heap[0].seq
+		}
+		var call Event
+		if pseq < lseq && pseq < hseq {
+			bit := uint64(1) << uint(ps)
+			e.pollCal[idx] &^= bit
+			p := &e.polls[ps]
+			if e.live&bit == 0 {
+				e.arm(p, bit)
+				ps, pseq = e.nextDue(idx)
+				continue
+			}
+			call = e.unpark(p, bit)
+			ps, pseq = e.nextDue(idx)
+		} else if lseq < hseq {
+			call = b.evs[b.head].call
+			b.head++
+			if b.head == len(b.evs) {
+				clear(b.evs)
+				b.evs = b.evs[:0]
+				b.head = 0
+			}
+			e.laneLen--
+		} else if heapSame {
+			call = e.heapPop().call
+			heapSame = len(e.heap) > 0 && e.heap[0].at == e.now
+		} else {
+			break
+		}
+		e.Executed++
+		call()
+		if e.stopped {
+			break
+		}
+	}
+	if len(b.evs) == 0 && e.pollCal[idx] == 0 {
+		e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 	}
 }
 

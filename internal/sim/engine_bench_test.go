@@ -51,3 +51,35 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkEngineParkedPoll prices dead polls: 31 waiters parked on a
+// condition that never turns true (the engine re-arms each one about every
+// 60 ticks) beside a sparse stream of real events, one every ~50 ticks.
+// One op is one real event plus the ~26 re-arms due meanwhile; CI requires
+// 0 allocs/op.
+func BenchmarkEngineParkedPoll(b *testing.B) {
+	e := NewEngine()
+	rng := NewRNG(1)
+	for s := 0; s < 31; s++ {
+		e.Park(s, 40, rng, 1, func() { panic("dead poll dispatched") })
+	}
+	n, limit := 0, 0
+	var pump Event
+	pump = func() {
+		if n++; n < limit {
+			e.Schedule(Tick(46+n&7), pump)
+		} else {
+			e.Stop()
+		}
+	}
+	// Warm up, so every lane bucket the stream lands in has its backing
+	// array before the timer starts.
+	limit = 4 * laneTicks
+	e.Schedule(1, pump)
+	e.Run()
+	n, limit = 0, b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Schedule(1, pump)
+	e.Run()
+}
