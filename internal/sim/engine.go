@@ -360,66 +360,23 @@ func (e *Engine) Step() bool {
 
 // stepAt drains the batch due at tick t, which the caller has already
 // located (Step via its own scan, RunUntil via nextAt — sharing the scan
-// keeps the bitmap walk off the per-batch path twice). A batch with parked
-// polls due takes stepPolls; the due mask is tested once per batch, and no
-// poll can join a batch already running, since every re-arm and Park is at
-// least one tick out. Batches without due polls keep the plain loop below:
-// folding them into the three-way merge measured ~10% slower dispatch.
+// keeps the bitmap walk off the per-batch path twice). It merges the
+// tick's lane bucket, the heap events landing on the same tick and the
+// parked polls due in the bucket by sequence number: a dead poll is
+// re-armed at exactly the point of the (tick, seq) order where its
+// callback would have run, so the seq numbers and random draws of
+// everything after it are unchanged.
 func (e *Engine) stepAt(t Tick) {
 	e.now = t
 	idx := int(t) & laneMask
-	if e.pollCal[idx] != 0 {
-		e.stepPolls(idx)
-		return
-	}
 	b := &e.lane[idx]
 	// Whether the heap's minimum lands on this very tick is monotone within
 	// the batch: every pending heap event has at >= t, and a callback's
 	// far-future push lands at >= t+laneTicks, so the flag only changes at a
 	// heapPop — hoisting it keeps the heap peek off the per-event path.
+	// Likewise no poll can join a running batch, since every Park and
+	// re-arm is at least one tick out, so the due set only shrinks.
 	heapSame := len(e.heap) > 0 && e.heap[0].at == t
-	for {
-		var ev scheduledEvent
-		if b.head < len(b.evs) {
-			ev = b.evs[b.head]
-			if heapSame && e.heap[0].seq < ev.seq {
-				ev = e.heapPop()
-				heapSame = len(e.heap) > 0 && e.heap[0].at == t
-			} else {
-				b.head++
-				if b.head == len(b.evs) {
-					// Drained: zero the consumed slots in one bulk clear so
-					// retired closures become garbage, then rewind, keeping
-					// the backing array for reuse.
-					clear(b.evs)
-					b.evs = b.evs[:0]
-					b.head = 0
-					e.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-				}
-				e.laneLen--
-			}
-		} else if heapSame {
-			ev = e.heapPop()
-			heapSame = len(e.heap) > 0 && e.heap[0].at == t
-		} else {
-			return
-		}
-		e.Executed++
-		ev.call()
-		if e.stopped {
-			return
-		}
-	}
-}
-
-// stepPolls drains the batch at bucket idx (tick e.now) when parked polls
-// are due in it, merging them with the lane bucket and the heap by
-// sequence number: a dead poll is re-armed at exactly the point of the
-// (tick, seq) order where its callback would have run, so the seq numbers
-// and random draws of everything after it are unchanged.
-func (e *Engine) stepPolls(idx int) {
-	b := &e.lane[idx]
-	heapSame := len(e.heap) > 0 && e.heap[0].at == e.now
 	ps, pseq := e.nextDue(idx)
 	for {
 		lseq, hseq := noSeq, noSeq
@@ -445,6 +402,9 @@ func (e *Engine) stepPolls(idx int) {
 			call = b.evs[b.head].call
 			b.head++
 			if b.head == len(b.evs) {
+				// Drained: zero the consumed slots in one bulk clear so
+				// retired closures become garbage, then rewind, keeping
+				// the backing array for reuse.
 				clear(b.evs)
 				b.evs = b.evs[:0]
 				b.head = 0
@@ -452,7 +412,7 @@ func (e *Engine) stepPolls(idx int) {
 			e.laneLen--
 		} else if heapSame {
 			call = e.heapPop().call
-			heapSame = len(e.heap) > 0 && e.heap[0].at == e.now
+			heapSame = len(e.heap) > 0 && e.heap[0].at == t
 		} else {
 			break
 		}

@@ -41,15 +41,18 @@ func DefaultEnergyModel() EnergyModel {
 	}
 }
 
-// Energy computes the run's total energy in abstract units.
+// Energy computes the run's total energy in abstract units. Each product
+// is rounded by an explicit float64 conversion: Go may otherwise fuse a
+// multiply into the following add (it does on arm64), and the same run
+// would report a different last digit on such hosts.
 func (m EnergyModel) Energy(r *Run, dir coherence.Stats, cores int) float64 {
-	static := m.StaticPerCoreCycle * float64(r.Cycles) * float64(cores)
-	instr := m.DynamicPerInstr * float64(r.Instructions+r.AbortedInstructions)
-	l1 := m.DynamicPerL1Access * float64(r.L1Accesses)
-	dirOps := m.DynamicPerDirectoryOp * float64(dir.Reads+dir.Writes+dir.Locks+dir.Unlocks)
-	mems := m.DynamicPerMemoryFetch * float64(dir.MemoryFetches)
-	msgs := m.DynamicPerNetworkMsg * float64(dir.Invalidations+dir.Downgrades+dir.Nacks+dir.Retries+dir.Forwards)
-	hops := m.DynamicPerHop * float64(dir.Hops)
+	static := float64(m.StaticPerCoreCycle * float64(r.Cycles) * float64(cores))
+	instr := float64(m.DynamicPerInstr * float64(r.Instructions+r.AbortedInstructions))
+	l1 := float64(m.DynamicPerL1Access * float64(r.L1Accesses))
+	dirOps := float64(m.DynamicPerDirectoryOp * float64(dir.Reads+dir.Writes+dir.Locks+dir.Unlocks))
+	mems := float64(m.DynamicPerMemoryFetch * float64(dir.MemoryFetches))
+	msgs := float64(m.DynamicPerNetworkMsg * float64(dir.Invalidations+dir.Downgrades+dir.Nacks+dir.Retries+dir.Forwards))
+	hops := float64(m.DynamicPerHop * float64(dir.Hops))
 	return static + instr + l1 + dirOps + mems + msgs + hops
 }
 
@@ -65,16 +68,17 @@ type Breakdown struct {
 	Total     float64
 }
 
-// EnergyBreakdown computes the per-component split of Energy.
+// EnergyBreakdown computes the per-component split of Energy, with the
+// same explicit rounding of each product.
 func (m EnergyModel) EnergyBreakdown(r *Run, dir coherence.Stats, cores int) Breakdown {
 	b := Breakdown{
-		Static:    m.StaticPerCoreCycle * float64(r.Cycles) * float64(cores),
-		Instr:     m.DynamicPerInstr * float64(r.Instructions+r.AbortedInstructions),
-		L1:        m.DynamicPerL1Access * float64(r.L1Accesses),
-		Directory: m.DynamicPerDirectoryOp * float64(dir.Reads+dir.Writes+dir.Locks+dir.Unlocks),
-		Memory:    m.DynamicPerMemoryFetch * float64(dir.MemoryFetches),
-		Network: m.DynamicPerNetworkMsg*float64(dir.Invalidations+dir.Downgrades+dir.Nacks+dir.Retries+dir.Forwards) +
-			m.DynamicPerHop*float64(dir.Hops),
+		Static:    float64(m.StaticPerCoreCycle * float64(r.Cycles) * float64(cores)),
+		Instr:     float64(m.DynamicPerInstr * float64(r.Instructions+r.AbortedInstructions)),
+		L1:        float64(m.DynamicPerL1Access * float64(r.L1Accesses)),
+		Directory: float64(m.DynamicPerDirectoryOp * float64(dir.Reads+dir.Writes+dir.Locks+dir.Unlocks)),
+		Memory:    float64(m.DynamicPerMemoryFetch * float64(dir.MemoryFetches)),
+		Network: float64(m.DynamicPerNetworkMsg*float64(dir.Invalidations+dir.Downgrades+dir.Nacks+dir.Retries+dir.Forwards)) +
+			float64(m.DynamicPerHop*float64(dir.Hops)),
 	}
 	b.Total = b.Static + b.Instr + b.L1 + b.Directory + b.Memory + b.Network
 	return b
