@@ -32,9 +32,12 @@ func cmdRecord(args []string) error {
 		withOrcl = fs.Bool("oracle", false, "also attach the invariant oracle")
 	)
 	fs.Parse(args)
+	if fs.NArg() != 0 {
+		cliutil.Usagef("record takes no positional arguments, got %d", fs.NArg())
+	}
 	p, err := run.Params()
 	if err != nil {
-		return err
+		cliutil.Usage(err)
 	}
 
 	f, err := os.Create(*out)
@@ -61,13 +64,19 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-// loadTrace opens and fully decodes the trace file named by the last
-// positional argument of fs.
-func loadTrace(fs *flag.FlagSet) (trace.Meta, []trace.Event, error) {
+// traceArg returns the single trace-file argument of the parsed fs; any
+// other argument count is a usage error.
+func traceArg(fs *flag.FlagSet) string {
 	if fs.NArg() != 1 {
-		return trace.Meta{}, nil, fmt.Errorf("want exactly one trace file argument")
+		cliutil.Usagef("want exactly one trace file argument, got %d", fs.NArg())
 	}
-	f, err := os.Open(fs.Arg(0))
+	return fs.Arg(0)
+}
+
+// loadTrace opens and fully decodes the trace file at path. Every command
+// that reads a trace goes through it.
+func loadTrace(path string) (trace.Meta, []trace.Event, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return trace.Meta{}, nil, err
 	}
@@ -153,12 +162,12 @@ func knownARs(meta trace.Meta) string {
 }
 
 // cmdSummary prints headline counts. The commit, abort, and per-AR tallies
-// come from trace.BuildProfile, so they match clearprof and the run's own
+// come from trace.BuildProfile, so they match profile and the run's own
 // statistics.
 func cmdSummary(args []string) error {
 	fs := flag.NewFlagSet("cleartrace summary", flag.ExitOnError)
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
 	}
@@ -184,12 +193,7 @@ func cmdSummary(args []string) error {
 		}
 	}
 	fmt.Println("aborts by reason:")
-	reasons := make([]htm.AbortReason, 0, len(p.AbortsByReason))
-	for r := range p.AbortsByReason {
-		reasons = append(reasons, r)
-	}
-	sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
-	for _, r := range reasons {
+	for _, r := range sortedReasons(p.AbortsByReason) {
 		fmt.Printf("  %-18s %8d\n", r, p.AbortsByReason[r])
 	}
 	fmt.Println("per atomic region:")
@@ -200,18 +204,19 @@ func cmdSummary(args []string) error {
 	return nil
 }
 
-// cmdDump prints filtered events as text.
+// cmdDump prints filtered events as text. A filter naming an unknown
+// reason, kind or atomic region is a usage error.
 func cmdDump(args []string) error {
 	fs := flag.NewFlagSet("cleartrace dump", flag.ExitOnError)
 	mkFilter := filterFlags(fs)
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
 	}
 	f, err := mkFilter(meta)
 	if err != nil {
-		return err
+		cliutil.Usage(err)
 	}
 	evs = trace.FilterEvents(evs, meta.Cores, f)
 	return trace.WriteText(os.Stdout, meta, evs)
@@ -222,7 +227,7 @@ func cmdTimeline(args []string) error {
 	fs := flag.NewFlagSet("cleartrace timeline", flag.ExitOnError)
 	core := fs.Int("core", -1, "restrict to one core")
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
 	}
@@ -263,7 +268,12 @@ func cmdExport(args []string) error {
 		interval = fs.Uint64("interval", 0, "also embed counter samples of this tick width (perfetto)")
 	)
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	switch *format {
+	case "perfetto", "csv", "events-csv":
+	default:
+		cliutil.Usagef("unknown format %q (want perfetto, csv or events-csv)", *format)
+	}
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
 	}
@@ -287,10 +297,8 @@ func cmdExport(args []string) error {
 	case "csv":
 		tl := trace.BuildTimeline(meta, evs)
 		return trace.WriteSpanCSV(w, tl)
-	case "events-csv":
-		return trace.WriteEventCSV(w, meta, evs)
 	}
-	return fmt.Errorf("unknown format %q (want perfetto, csv or events-csv)", *format)
+	return trace.WriteEventCSV(w, meta, evs)
 }
 
 // cmdMetrics prints interval samples as CSV.
@@ -298,12 +306,12 @@ func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("cleartrace metrics", flag.ExitOnError)
 	interval := fs.Uint64("interval", 10_000, "sample interval width in ticks")
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	if *interval == 0 {
+		cliutil.Usagef("-interval must be > 0")
+	}
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
-	}
-	if *interval == 0 {
-		return fmt.Errorf("-interval must be > 0")
 	}
 	samples := trace.SampleIntervals(meta, evs, sim.Tick(*interval))
 	return trace.WriteIntervalCSV(os.Stdout, samples)
@@ -316,7 +324,7 @@ func cmdMetrics(args []string) error {
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("cleartrace verify", flag.ExitOnError)
 	fs.Parse(args)
-	meta, evs, err := loadTrace(fs)
+	meta, evs, err := loadTrace(traceArg(fs))
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
-// Package cliutil centralises what the six command-line tools (clearsim,
-// clearbench, clearfuzz, clearchaos, clearinspect, cleartrace) used to
-// hand-roll independently: the shared flag groups (RunFlags, SweepFlags,
-// TraceFlags), uniform config-string decoding through harness.ParseConfig,
-// and one exit-code policy.
+// Package cliutil centralises what the seven command-line tools (clearsim,
+// clearbench, clearfuzz, clearchaos, clearinspect, clearlitmus, cleartrace)
+// used to hand-roll independently: the shared flag groups (RunFlags,
+// SweepFlags, TraceFlags), uniform config-string decoding through
+// harness.ParseConfig, and one exit-code policy.
 //
 // Exit-code policy (uniform across all tools):
 //

@@ -74,7 +74,7 @@ func (p RunParams) Cacheable() bool {
 // Only integers and shortest-round-trip float64s are stored, so a JSON
 // round trip is exact and a resumed sweep is byte-identical to an
 // uninterrupted one. Failures are never cached: a resumed sweep recomputes
-// missing *and* failed cells. Exported so offline tools (clearprof diff)
+// missing *and* failed cells. Exported so offline tools (cleartrace diff)
 // can read runstore payloads without re-deriving the schema.
 type CacheRecord struct {
 	// Spec is the canonical encoding the key was derived from, kept for

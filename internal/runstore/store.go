@@ -218,7 +218,7 @@ func (s *Store) remember(key string, payload []byte) {
 // Resolve expands a (possibly abbreviated) hex key prefix to the unique
 // stored key that starts with it, scanning the sharded directory layout.
 // It errors when no record matches or when the prefix is ambiguous —
-// offline tools (clearprof diff) use it to accept short keys the way git
+// offline tools (cleartrace diff) use it to accept short keys the way git
 // accepts short object ids. An empty prefix is rejected.
 func (s *Store) Resolve(prefix string) (string, error) {
 	if prefix == "" {

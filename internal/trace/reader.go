@@ -63,7 +63,14 @@ func (rd *Reader) readHeader() error {
 	flags := binary.LittleEndian.Uint16(fixed[6:])
 	rd.meta.MemAccesses = flags&flagMemAccesses != 0
 	rd.meta.DirAccesses = flags&flagDirAccesses != 0
-	rd.meta.Cores = int(binary.LittleEndian.Uint32(fixed[8:]))
+	// Records carry Core as a uint8 with NoCore reserved, so a stream can
+	// address at most 255 cores; a larger count is corrupt, and readers
+	// size per-core state from it.
+	cores := binary.LittleEndian.Uint32(fixed[8:])
+	if cores > uint32(NoCore) {
+		return fmt.Errorf("trace: header claims %d cores, records address at most %d", cores, NoCore)
+	}
+	rd.meta.Cores = int(cores)
 	rd.meta.Seed = binary.LittleEndian.Uint64(fixed[16:])
 	var err error
 	if rd.meta.Benchmark, err = rd.readString(); err != nil {

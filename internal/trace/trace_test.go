@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -179,6 +182,28 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := rd2.Next(); err == nil || err == io.EOF {
 		t.Fatalf("want truncation error, got %v", err)
+	}
+}
+
+// TestReaderRejectsCoreOverflow decodes a 62-byte file whose header claims
+// 2³¹−1 cores, followed by one commit record. Accepting it let BuildProfile
+// size a per-core slice from the header and die out of memory.
+func TestReaderRejectsCoreOverflow(t *testing.T) {
+	raw, err := os.ReadFile("testdata/cores-overflow.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 62 {
+		t.Fatalf("fixture is %d bytes, want 62", len(raw))
+	}
+	_, err = NewReader(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "2147483647 cores") {
+		t.Fatalf("want a core-count error, got %v", err)
+	}
+	// 255 cores is the largest count records can address.
+	binary.LittleEndian.PutUint32(raw[8:], uint32(NoCore))
+	if _, err := NewReader(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("255 cores rejected: %v", err)
 	}
 }
 
