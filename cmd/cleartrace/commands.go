@@ -277,6 +277,12 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
+	var samples []trace.IntervalSample
+	if *format == "perfetto" {
+		if samples, err = trace.SampleIntervals(meta, evs, sim.Tick(*interval)); err != nil {
+			return err
+		}
+	}
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -289,10 +295,6 @@ func cmdExport(args []string) error {
 	switch *format {
 	case "perfetto":
 		tl := trace.BuildTimeline(meta, evs)
-		var samples []trace.IntervalSample
-		if *interval > 0 {
-			samples = trace.SampleIntervals(meta, evs, sim.Tick(*interval))
-		}
 		return trace.WritePerfetto(w, tl, samples)
 	case "csv":
 		tl := trace.BuildTimeline(meta, evs)
@@ -313,7 +315,10 @@ func cmdMetrics(args []string) error {
 	if err != nil {
 		return err
 	}
-	samples := trace.SampleIntervals(meta, evs, sim.Tick(*interval))
+	samples, err := trace.SampleIntervals(meta, evs, sim.Tick(*interval))
+	if err != nil {
+		return err
+	}
 	return trace.WriteIntervalCSV(os.Stdout, samples)
 }
 
@@ -347,8 +352,12 @@ func cmdVerify(args []string) error {
 	}
 	// Round-trip the Perfetto export through the JSON decoder and check the
 	// trace-event schema shape.
+	samples, err := trace.SampleIntervals(meta, evs, 10_000)
+	if err != nil {
+		return err
+	}
 	var buf strings.Builder
-	if err := trace.WritePerfetto(&buf, tl, trace.SampleIntervals(meta, evs, 10_000)); err != nil {
+	if err := trace.WritePerfetto(&buf, tl, samples); err != nil {
 		return fmt.Errorf("perfetto export: %w", err)
 	}
 	var doc struct {

@@ -62,6 +62,10 @@ func TestExitStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	farTick, err := filepath.Abs("../../internal/trace/testdata/far-tick.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	record(t, dir, "a.trace", "3")
 	for _, tc := range []struct {
@@ -97,6 +101,9 @@ func TestExitStatus(t *testing.T) {
 		{args: "diff a.trace missing", code: 1},
 		{args: "profile " + overflow, code: 1, stderr: "trace: header claims 2147483647 cores"},
 		{args: "summary " + overflow, code: 1, stderr: "trace: header claims 2147483647 cores"},
+		{args: "verify " + farTick, code: 1, stderr: "trace: tick 17179869184"},
+		{args: "metrics -interval 1 " + farTick, code: 1, stderr: "trace: tick 17179869184"},
+		{args: "export -interval 1 -o f.json " + farTick, code: 1, stderr: "trace: tick 17179869184", absent: "f.json"},
 	} {
 		_, stderr, code := run(t, dir, strings.Fields(tc.args)...)
 		if code != tc.code {

@@ -102,7 +102,7 @@ func TestFarmChaosCampaign(t *testing.T) {
 	tsA := httptest.NewServer(srvA.Handler())
 	cA := NewClient(tsA.URL)
 	cA.PollInterval = time.Millisecond
-	resp, err := cA.SubmitMatrix(MatrixRequestFrom(opts))
+	resp, err := cA.SubmitMatrix(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,17 +121,17 @@ func (c *Client) do(method, path string, in, out any) error {
 	return fmt.Errorf("farm: %s %s failed after %d attempts: %w", method, path, c.attempts(), lastErr)
 }
 
-// Submit enqueues one spec (or attaches to its in-flight twin).
-func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
+// Submit enqueues one run (or attaches to its in-flight twin).
+func (c *Client) Submit(p harness.RunParams) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(http.MethodPost, "/jobs", spec, &st)
+	err := c.do(http.MethodPost, "/jobs", p, &st)
 	return st, err
 }
 
 // SubmitMatrix enqueues a whole campaign.
-func (c *Client) SubmitMatrix(req MatrixRequest) (MatrixResponse, error) {
+func (c *Client) SubmitMatrix(opts harness.MatrixOptions) (MatrixResponse, error) {
 	var resp MatrixResponse
-	err := c.do(http.MethodPost, "/matrix", req, &resp)
+	err := c.do(http.MethodPost, "/matrix", opts, &resp)
 	return resp, err
 }
 
@@ -198,15 +198,9 @@ func (c *Client) QuarantineReport() ([]JobStatus, error) {
 func (c *Client) Runner() harness.RunnerFunc {
 	return func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure, bool) {
 		failWith := func(format string, args ...any) *harness.RunFailure {
-			return &harness.RunFailure{
-				Benchmark:  p.Benchmark,
-				Config:     p.Config,
-				RetryLimit: p.RetryLimit,
-				Seed:       p.Seed,
-				Reason:     fmt.Sprintf(format, args...),
-			}
+			return p.Failure(fmt.Sprintf(format, args...))
 		}
-		st, err := c.Submit(SpecOf(p))
+		st, err := c.Submit(p)
 		if err != nil {
 			return nil, failWith("farm submit: %v", err), false
 		}
@@ -220,14 +214,7 @@ func (c *Client) Runner() harness.RunnerFunc {
 			if err != nil {
 				return nil, failWith("farm result: %v", err), false
 			}
-			return &harness.RunResult{
-				Params: p,
-				Stats:  rec.Stats,
-				Dir:    rec.Dir,
-				Energy: rec.Energy,
-				Faults: rec.Faults,
-				Oracle: rec.Oracle,
-			}, nil, st.CacheHit
+			return rec.Result(p), nil, st.CacheHit
 		case StateQuarantined:
 			return nil, failWith("farm quarantined after %d attempts: %s", st.Attempts, st.Failure), false
 		default:

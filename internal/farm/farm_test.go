@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,18 +13,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 )
 
-// quickSpec is a tiny valid spec; tests pair it with fake executors, so only
+// quickSpec is a tiny valid run; tests pair it with fake executors, so only
 // its validity and key identity matter, not its simulated cost.
-func quickSpec(seed uint64) JobSpec {
-	return JobSpec{
+func quickSpec(seed uint64) harness.RunParams {
+	return harness.RunParams{
 		Benchmark:    "hashmap",
-		Config:       "C",
+		Config:       harness.ConfigC,
 		Cores:        2,
 		OpsPerThread: 4,
 		RetryLimit:   2,
@@ -207,10 +210,7 @@ func TestFarmNonRetryableFailsImmediately(t *testing.T) {
 		Workers: 1,
 		Retry:   fastRetry(),
 		Exec: func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure) {
-			return nil, &harness.RunFailure{
-				Benchmark: p.Benchmark, Config: p.Config, RetryLimit: p.RetryLimit, Seed: p.Seed,
-				Reason: "check: 1 invariant violation(s)",
-			}
+			return nil, p.Failure("check: 1 invariant violation(s)")
 		},
 	})
 	defer srv.Close()
@@ -351,9 +351,9 @@ func TestFarmHTTPAndClient(t *testing.T) {
 	c.PollInterval = time.Millisecond
 	c.WaitTimeout = 5 * time.Second
 
-	resp, err := c.SubmitMatrix(MatrixRequest{
+	resp, err := c.SubmitMatrix(harness.MatrixOptions{
 		Benchmarks:   []string{"hashmap"},
-		Configs:      []string{"B", "C"},
+		Configs:      []harness.ConfigID{harness.ConfigB, harness.ConfigC},
 		RetryLimits:  []int{2},
 		Seeds:        []uint64{1, 2},
 		Cores:        2,
@@ -403,14 +403,6 @@ func TestFarmHTTPAndClient(t *testing.T) {
 		!strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown key: err = %v, want terminal 404", err)
 	}
-	badReq, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"benchmark":""}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	badReq.Body.Close()
-	if badReq.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty benchmark got HTTP %d, want 400", badReq.StatusCode)
-	}
 }
 
 // droppingTransport fails every other round trip at the connection level —
@@ -454,5 +446,148 @@ func TestClientSurvivesDroppedConnections(t *testing.T) {
 	}
 	if fin.State != StateDone {
 		t.Fatalf("job ended %s, want done", fin.State)
+	}
+}
+
+// TestRemoteMatrixCarriesFaultPlan runs a faulted matrix through the farm
+// with the real executor. The remote CSV must equal the local one, and the
+// farm must key every job exactly as the client does: a wire form that
+// dropped the fault plan would run the cells clean, under other keys.
+func TestRemoteMatrixCarriesFaultPlan(t *testing.T) {
+	plan, err := fault.PresetPlan("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := harness.MatrixOptions{
+		Benchmarks:   []string{"hashmap", "mwobject"},
+		Configs:      []harness.ConfigID{harness.ConfigB, harness.ConfigC},
+		RetryLimits:  []int{2},
+		Seeds:        []uint64{1, 2},
+		Cores:        4,
+		OpsPerThread: 16,
+		MaxTicks:     50_000_000,
+		Parallelism:  2,
+	}
+	csvOf := func(opts harness.MatrixOptions) string {
+		t.Helper()
+		m, err := harness.RunMatrix(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Failures) != 0 {
+			t.Fatalf("matrix has failures: %v", m.Failures)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	clean := csvOf(opts)
+	opts.FaultPlan = plan
+	local := csvOf(opts)
+	if local == clean {
+		t.Fatal("the default fault plan left the matrix unchanged; the test cannot tell a dropped plan")
+	}
+
+	srv := NewServer(Config{Workers: 2, Retry: fastRetry(), Store: runstore.NewMem()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	c.PollInterval = time.Millisecond
+	c.WaitTimeout = time.Minute
+
+	var mu sync.Mutex
+	var keys []string
+	runner := c.Runner()
+	remoteOpts := opts
+	remoteOpts.Runner = func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure, bool) {
+		mu.Lock()
+		keys = append(keys, p.Spec().Key())
+		mu.Unlock()
+		return runner(p)
+	}
+	if remote := csvOf(remoteOpts); remote != local {
+		t.Fatalf("remote CSV differs from local:\n--- local ---\n%s--- remote ---\n%s", local, remote)
+	}
+	for _, key := range keys {
+		if st, ok := srv.Status(key); !ok || st.State != StateDone {
+			t.Errorf("client key %.12s: farm job found=%v state=%s", key, ok, st.State)
+		}
+	}
+	if total := srv.Stats().Total(); total != len(keys) {
+		t.Fatalf("farm holds %d jobs for %d client runs", total, len(keys))
+	}
+}
+
+// TestFarmWireCompatibility pins the wire against the earlier flat job
+// form: that body still keys to TestRunSpecGolden's key, and a default run
+// encodes to it plus an empty policy member.
+func TestFarmWireCompatibility(t *testing.T) {
+	const body = `{"benchmark":"hashmap","config":"C","cores":32,"ops_per_thread":120,"retry_limit":4,"seed":1,"max_ticks":400000000}`
+	const wantKey = "97052b078269df342b86310f7a3c4d30450c962f91b9e7b4f35e01d51dc8ba07"
+	srv := NewServer(Config{Workers: 1, Retry: fastRetry(), Exec: okExec})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Key != wantKey {
+		t.Fatalf("flat job body keyed to %s, want %s", st.Key, wantKey)
+	}
+	enc, err := json.Marshal(harness.DefaultRunParams("hashmap", harness.ConfigC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSuffix(body, "}") + `,"policy":""}`; string(enc) != want {
+		t.Fatalf("default run encodes as\n%s\nwant\n%s", enc, want)
+	}
+}
+
+// TestFarmRejectsMalformed: every malformed submission is a 400 and
+// enqueues nothing — in particular a core count that would exhaust memory in
+// workload setup, where no recover can catch the fatal error.
+func TestFarmRejectsMalformed(t *testing.T) {
+	srv := NewServer(Config{Workers: 1, Retry: fastRetry(), Exec: okExec})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const job = `"benchmark":"hashmap","config":"C","ops_per_thread":4,"retry_limit":2,"seed":1`
+	for _, tc := range []struct{ path, body string }{
+		{"/jobs", `{` + job + `,"cores":2,"config":"Q"}`},
+		{"/jobs", `{` + job + `,"cores":2,"policy":"bogus"}`},
+		{"/jobs", `{` + job + `,"cores":2,"fault_plan":{"NackRate":2}}`},
+		{"/jobs", `{` + job + `,"cores":0}`},
+		{"/jobs", `{` + job + `,"cores":65}`},
+		{"/jobs", `{` + job + `,"cores":268435456}`},
+		{"/jobs", `{` + job + `,"cores":2,"retry_limit":0}`},
+		{"/jobs", `{` + job + `,"cores":2,"ops_per_thread":0}`},
+		{"/jobs", `{` + job + `,"cores":2,"benchmark":""}`},
+		{"/jobs", `{` + job + `,"cores":2,"fault_plans":{}}`},
+		{"/jobs", `{` + job},
+		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"cores":2,"ops_per_thread":4}`},
+		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2,0],"seeds":[1],"cores":2,"ops_per_thread":4}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: HTTP %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	if total := srv.Stats().Total(); total != 0 {
+		t.Fatalf("malformed submissions enqueued %d jobs", total)
 	}
 }

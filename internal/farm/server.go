@@ -48,10 +48,9 @@ type Config struct {
 	Exec ExecFunc
 }
 
-// job is the server-side record of one submitted spec.
+// job is the server-side record of one submitted run.
 type job struct {
 	key    string
-	spec   JobSpec
 	params harness.RunParams
 
 	state     State
@@ -68,7 +67,7 @@ type job struct {
 func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		Key:       j.key,
-		Spec:      j.spec,
+		Spec:      j.params,
 		State:     j.state,
 		Attempts:  j.attempts,
 		CacheHit:  j.cacheHit,
@@ -129,18 +128,24 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Submit accepts one job spec. An identical spec already known to the farm —
-// queued, running, backing off, or terminal — attaches to the existing job
-// (in-flight dedup) whatever the drain state; genuinely new work is rejected
-// with ErrDraining once a drain has begun.
-func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	params, err := spec.Params()
-	if err != nil {
+// Submit validates and accepts one run. An identical run already known to
+// the farm — queued, running, backing off, or terminal — attaches to the
+// existing job (in-flight dedup) whatever the drain state; genuinely new
+// work is rejected with ErrDraining once a drain has begun.
+func (s *Server) Submit(p harness.RunParams) (JobStatus, error) {
+	if err := validate(p); err != nil {
 		return JobStatus{}, err
 	}
-	params.Deadline = s.cfg.JobDeadline
-	params.Metrics = s.cfg.Metrics
-	key := params.Spec().Key()
+	return s.enqueue(p)
+}
+
+// enqueue keys a validated run and attaches it to its job, creating and
+// queueing the job if the key is new. The server's job deadline and metrics
+// registry replace the submitter's.
+func (s *Server) enqueue(p harness.RunParams) (JobStatus, error) {
+	p.Deadline = s.cfg.JobDeadline
+	p.Metrics = s.cfg.Metrics
+	key := p.Spec().Key()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,8 +158,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	j := &job{
 		key:    key,
-		spec:   spec,
-		params: params,
+		params: p,
 		state:  StateQueued,
 		done:   make(chan struct{}),
 	}
@@ -164,19 +168,26 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
-// SubmitMatrix expands and enqueues a whole campaign; the response lists the
-// job keys in expansion order.
-func (s *Server) SubmitMatrix(req MatrixRequest) (MatrixResponse, error) {
-	specs, err := req.Specs()
-	if err != nil {
-		return MatrixResponse{}, err
+// SubmitMatrix expands a campaign through MatrixOptions.Runs — the
+// expansion RunMatrix dispatches — validates every run, and only then
+// enqueues them, so a bad cell enqueues nothing. The response lists the job
+// keys in expansion order.
+func (s *Server) SubmitMatrix(opts harness.MatrixOptions) (MatrixResponse, error) {
+	runs := opts.Runs()
+	if len(runs) == 0 {
+		return MatrixResponse{}, errors.New("farm: matrix request needs benchmarks, configs, retry_limits and seeds")
 	}
-	resp := MatrixResponse{Jobs: make([]string, 0, len(specs))}
-	for _, spec := range specs {
-		st, err := s.Submit(spec)
-		if err != nil {
+	for _, p := range runs {
+		if err := validate(p); err != nil {
 			return MatrixResponse{}, fmt.Errorf("farm: matrix cell %s/%s retry=%d seed=%d: %w",
-				spec.Benchmark, spec.Config, spec.RetryLimit, spec.Seed, err)
+				p.Benchmark, p.Config, p.RetryLimit, p.Seed, err)
+		}
+	}
+	resp := MatrixResponse{Jobs: make([]string, 0, len(runs))}
+	for _, p := range runs {
+		st, err := s.enqueue(p)
+		if err != nil {
+			return MatrixResponse{}, err
 		}
 		resp.Jobs = append(resp.Jobs, st.Key)
 	}
@@ -419,13 +430,7 @@ func (s *Server) runJob(j *job) (payload []byte, hit bool, fail *harness.RunFail
 	_ = harness.StoreCached(s.cfg.Store, res)
 	b, err := harness.EncodeCacheRecord(res)
 	if err != nil {
-		return nil, false, &harness.RunFailure{
-			Benchmark:  j.params.Benchmark,
-			Config:     j.params.Config,
-			RetryLimit: j.params.RetryLimit,
-			Seed:       j.params.Seed,
-			Reason:     "encode result: " + err.Error(),
-		}
+		return nil, false, j.params.Failure("encode result: " + err.Error())
 	}
 	return b, false, nil
 }
@@ -437,14 +442,8 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			fail = &harness.RunFailure{
-				Benchmark:  p.Benchmark,
-				Config:     p.Config,
-				RetryLimit: p.RetryLimit,
-				Seed:       p.Seed,
-				Reason:     fmt.Sprintf("worker panic: %v", r),
-				Stack:      string(debug.Stack()),
-			}
+			fail = p.Failure(fmt.Sprintf("worker panic: %v", r))
+			fail.Stack = string(debug.Stack())
 		}
 	}()
 	s.executed.Add(1)
@@ -453,9 +452,9 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 
 // Handler returns the farm's HTTP surface:
 //
-//	POST /jobs        submit one JobSpec -> JobStatus (503 while draining)
+//	POST /jobs        submit one harness.RunParams -> JobStatus (503 while draining)
 //	GET  /jobs/{key}  poll one job -> JobStatus
-//	POST /matrix      submit a MatrixRequest -> MatrixResponse
+//	POST /matrix      submit a harness.MatrixOptions -> MatrixResponse
 //	GET  /quarantine  quarantined specs -> []JobStatus
 //	GET  /farm        farm-wide counters -> Stats
 //	GET  /healthz     "ok" (or "draining")
@@ -465,12 +464,12 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "farm: bad job spec: "+err.Error(), http.StatusBadRequest)
+		var p harness.RunParams
+		if err := decodeBody(r, &p); err != nil {
+			http.Error(w, "farm: bad job: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		st, err := s.Submit(spec)
+		st, err := s.Submit(p)
 		if err != nil {
 			httpSubmitError(w, err)
 			return
@@ -486,12 +485,12 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, st)
 	})
 	mux.HandleFunc("POST /matrix", func(w http.ResponseWriter, r *http.Request) {
-		var req MatrixRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var opts harness.MatrixOptions
+		if err := decodeBody(r, &opts); err != nil {
 			http.Error(w, "farm: bad matrix request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := s.SubmitMatrix(req)
+		resp, err := s.SubmitMatrix(opts)
 		if err != nil {
 			httpSubmitError(w, err)
 			return
@@ -523,6 +522,14 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /metrics.json", s.cfg.Metrics.JSONHandler())
 	}
 	return mux
+}
+
+// decodeBody decodes a request body strictly: a member the server does not
+// know is an error, not a field silently dropped from the run's key.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func httpSubmitError(w http.ResponseWriter, err error) {

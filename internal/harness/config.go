@@ -31,6 +31,20 @@ func ParseConfig(s string) (ConfigID, error) {
 	return 0, fmt.Errorf("unknown config %q (want B, P, C, W or M)", s)
 }
 
+// MarshalText renders the configuration letter: the JSON form of a ConfigID
+// on the farm wire.
+func (c ConfigID) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a configuration letter through ParseConfig.
+func (c *ConfigID) UnmarshalText(b []byte) error {
+	id, err := ParseConfig(string(b))
+	if err != nil {
+		return err
+	}
+	*c = id
+	return nil
+}
+
 // ParseConfigs resolves a configuration set: either a compact letter string
 // ("BPCW") or a comma/space-separated list ("B,P,C,W"). Order and duplicates
 // are preserved (campaign rotations rely on the order); an empty selection is

@@ -26,6 +26,18 @@ func (f *RunFailure) String() string {
 		f.Benchmark, f.Config, f.RetryLimit, f.Seed, f.Reason)
 }
 
+// Failure returns the record of p failing for reason: the one place a
+// RunFailure is built from the run it describes.
+func (p RunParams) Failure(reason string) *RunFailure {
+	return &RunFailure{
+		Benchmark:  p.Benchmark,
+		Config:     p.Config,
+		RetryLimit: p.RetryLimit,
+		Seed:       p.Seed,
+		Reason:     reason,
+	}
+}
+
 // RunChecked executes Run with panic isolation: a crash inside the simulator
 // becomes a RunFailure carrying the stack instead of killing the caller's
 // sweep. Exactly one of the results is non-nil.
@@ -33,25 +45,13 @@ func RunChecked(p RunParams) (res *RunResult, fail *RunFailure) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			fail = &RunFailure{
-				Benchmark:  p.Benchmark,
-				Config:     p.Config,
-				RetryLimit: p.RetryLimit,
-				Seed:       p.Seed,
-				Reason:     fmt.Sprintf("panic: %v", r),
-				Stack:      string(debug.Stack()),
-			}
+			fail = p.Failure(fmt.Sprintf("panic: %v", r))
+			fail.Stack = string(debug.Stack())
 		}
 	}()
 	r, err := Run(p)
 	if err != nil {
-		return nil, &RunFailure{
-			Benchmark:  p.Benchmark,
-			Config:     p.Config,
-			RetryLimit: p.RetryLimit,
-			Seed:       p.Seed,
-			Reason:     err.Error(),
-		}
+		return nil, p.Failure(err.Error())
 	}
 	return r, nil
 }

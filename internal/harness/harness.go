@@ -89,60 +89,66 @@ func (c ConfigID) Apply(cfg *cpu.SystemConfig) {
 	cfg.StaticLocking = c == ConfigM
 }
 
-// RunParams fully determines one simulation run.
+// RunParams fully determines one simulation run. It is also the farm's wire
+// form of one run: the JSON names below are the wire names, and host-side
+// fields are `json:"-"` — the server owns those, and they never change the
+// simulated outcome or the cache key.
 type RunParams struct {
-	Benchmark    string
-	Config       ConfigID
-	Cores        int
-	OpsPerThread int
-	RetryLimit   int
-	Seed         uint64
+	Benchmark    string   `json:"benchmark"`
+	Config       ConfigID `json:"config"`
+	Cores        int      `json:"cores"`
+	OpsPerThread int      `json:"ops_per_thread"`
+	RetryLimit   int      `json:"retry_limit"`
+	Seed         uint64   `json:"seed"`
 	// MaxTicks bounds the run; exceeding it is reported as an error
 	// (livelock guard).
-	MaxTicks sim.Tick
+	MaxTicks sim.Tick `json:"max_ticks,omitempty"`
 	// SLE selects in-core speculation instead of HTM (§4.1 vs §4.2).
-	SLE bool
+	SLE bool `json:"sle,omitempty"`
 	// Oracle attaches the internal/check runtime invariant oracle to the
 	// run and makes it the run's guard: any violation, including a livelock
 	// (no commit within check.LivelockWindow ticks), stops the run and is
 	// returned as an error. Off by default (the oracle is digest-transparent
 	// but costs host time).
-	Oracle bool
+	Oracle bool `json:"oracle,omitempty"`
 	// Mesh swaps the crossbar for a 2D mesh interconnect.
-	Mesh bool
+	Mesh bool `json:"mesh,omitempty"`
 	// Ablations.
-	DisableDiscoveryContinuation bool
-	SCLLockAllReads              bool
+	DisableDiscoveryContinuation bool `json:"disable_discovery_continuation,omitempty"`
+	SCLLockAllReads              bool `json:"scl_lock_all_reads,omitempty"`
 	// Table sizing overrides (zero = paper values).
-	ERTEntries, ALTEntries, CRTEntries, CRTWays int
+	ERTEntries int `json:"ert_entries,omitempty"`
+	ALTEntries int `json:"alt_entries,omitempty"`
+	CRTEntries int `json:"crt_entries,omitempty"`
+	CRTWays    int `json:"crt_ways,omitempty"`
 	// TraceWriter, when non-nil, attaches the internal/trace binary event
 	// tracer and streams the run's event records into it. The tracer is
 	// digest-transparent: statistics are bit-identical with or without it.
-	TraceWriter io.Writer
+	TraceWriter io.Writer `json:"-"`
 	// TraceMem / TraceDir enable the verbose per-memory-operation and
 	// per-directory-transaction event streams (off by default; AR, lock,
 	// and conflict events are always recorded when TraceWriter is set).
-	TraceMem bool
-	TraceDir bool
+	TraceMem bool `json:"-"`
+	TraceDir bool `json:"-"`
 	// Metrics, when non-nil, attaches the internal/metrics instrument set
 	// (counters, gauges, log2 histograms) to the run through the same tee
 	// seams. The registry may be shared across concurrent runs; series
 	// aggregate. Digest-transparent, like the tracer.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry `json:"-"`
 	// Deadline bounds the *host* wall time of the run; zero means no
 	// deadline. Exceeding it stops the event loop with an error — the sweep
 	// hardening that keeps one pathological cell from hanging a matrix.
-	Deadline time.Duration
+	Deadline time.Duration `json:"-"`
 	// FaultPlan, when non-nil, attaches the internal/fault injector driven
 	// by the plan. A nil plan keeps every seam detached (zero cost); an
 	// empty plan attaches but fires nothing and leaves digests byte-
 	// identical.
-	FaultPlan *fault.Plan
+	FaultPlan *fault.Plan `json:"fault_plan,omitempty"`
 	// Policy selects the retry policy (internal/policy) that owns the §4.3
 	// next-mode decision. The zero value is the paper-exact default, which
 	// reproduces the pre-policy simulator bit-identically — so it is elided
-	// from cache keys and digests alike.
-	Policy policy.Spec
+	// from cache keys and digests alike, and travels as "".
+	Policy policy.Spec `json:"policy"`
 }
 
 // DefaultRunParams returns laptop-scale defaults: the paper's 32 cores with

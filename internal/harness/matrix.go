@@ -16,43 +16,44 @@ import (
 
 // MatrixOptions configures a full evaluation sweep: every benchmark under
 // every configuration, with the paper's per-application retry-limit
-// exploration and multi-seed repetition.
+// exploration and multi-seed repetition. It is also the farm's wire form of
+// a campaign: host-side fields are `json:"-"`.
 type MatrixOptions struct {
-	Benchmarks   []string
-	Configs      []ConfigID
-	Cores        int
-	OpsPerThread int
-	Seeds        []uint64
+	Benchmarks   []string   `json:"benchmarks"`
+	Configs      []ConfigID `json:"configs"`
+	Cores        int        `json:"cores"`
+	OpsPerThread int        `json:"ops_per_thread"`
+	Seeds        []uint64   `json:"seeds"`
 	// RetryLimits is the design-space sweep; the best-performing limit is
 	// selected per (benchmark, config), like the paper's "best of 1 to 10".
-	RetryLimits []int
-	MaxTicks    sim.Tick
+	RetryLimits []int    `json:"retry_limits"`
+	MaxTicks    sim.Tick `json:"max_ticks,omitempty"`
 	// Parallelism bounds concurrent simulations (host goroutines).
-	Parallelism int
+	Parallelism int `json:"-"`
 	// Ablation switches, applied to every run.
-	DisableDiscoveryContinuation bool
-	SCLLockAllReads              bool
+	DisableDiscoveryContinuation bool `json:"disable_discovery_continuation,omitempty"`
+	SCLLockAllReads              bool `json:"scl_lock_all_reads,omitempty"`
 	// Policy is the retry policy every cell runs under (zero value = the
 	// paper-exact default). The matrix is single-policy by design; the
 	// policy-frontier sweep (RunFrontier) loops RunMatrix per policy so
 	// cache keys and cell CSVs stay comparable within one matrix.
-	Policy policy.Spec
+	Policy policy.Spec `json:"policy"`
 	// FaultPlan, when non-nil, is attached to every run of the sweep — the
 	// "under faults" half of a policy-frontier comparison.
-	FaultPlan *fault.Plan
+	FaultPlan *fault.Plan `json:"fault_plan,omitempty"`
 	// Metrics, when non-nil, is attached to every run of the sweep; the
 	// registry's series are all atomics, so one registry aggregates across
 	// the parallel workers (the -serve /metrics endpoint feeds from it).
 	// Cache hits skip simulation and therefore contribute nothing here.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry `json:"-"`
 	// RunDeadline bounds the host wall time of every individual run; zero
 	// means unbounded. A run exceeding it becomes a RunFailure instead of
 	// hanging the sweep.
-	RunDeadline time.Duration
+	RunDeadline time.Duration `json:"-"`
 	// Cancel, when non-nil and closed, stops dispatching new cells (runs in
 	// flight finish); the partial matrix is returned. The -serve signal
 	// handler uses it for graceful shutdown.
-	Cancel <-chan struct{}
+	Cancel <-chan struct{} `json:"-"`
 	// Store, when non-nil, is the content-addressed run cache
 	// (internal/runstore): every seed run consults it before simulating and
 	// persists its summary afterwards. Because cell results are pure
@@ -62,14 +63,68 @@ type MatrixOptions struct {
 	// parallel workers. Any Backend works: the local sharded directory, the
 	// in-memory Mem, or a remote store. Leave nil when Runner is set (the
 	// runner owns execution, including any caching).
-	Store runstore.Backend
+	Store runstore.Backend `json:"-"`
 	// Runner, when non-nil, replaces the local execute-one-run path
 	// (RunCheckedCached against Store) for every seed run of the sweep. The
 	// farm client plugs in here: the same aggregation, best-of selection,
 	// and CSV code runs over results produced anywhere, which is what makes
 	// a remote sweep byte-identical to a local one. Must be safe for
 	// concurrent calls from the parallel workers.
-	Runner RunnerFunc
+	Runner RunnerFunc `json:"-"`
+}
+
+// cellKey names one (benchmark, config, retry-limit) cell of a sweep; the
+// cell runs once per seed.
+type cellKey struct {
+	bench string
+	cfg   ConfigID
+	retry int
+}
+
+// cellKeys lists the sweep's cells, benchmark-major, then config and retry
+// limit: RunMatrix's dispatch order.
+func (o MatrixOptions) cellKeys() []cellKey {
+	var keys []cellKey
+	for _, bench := range o.Benchmarks {
+		for _, cfg := range o.Configs {
+			for _, retry := range o.RetryLimits {
+				keys = append(keys, cellKey{bench, cfg, retry})
+			}
+		}
+	}
+	return keys
+}
+
+// run builds the seed run of cell k: the one place a sweep's RunParams are
+// built.
+func (o MatrixOptions) run(k cellKey, seed uint64) RunParams {
+	return RunParams{
+		Benchmark:                    k.bench,
+		Config:                       k.cfg,
+		Cores:                        o.Cores,
+		OpsPerThread:                 o.OpsPerThread,
+		RetryLimit:                   k.retry,
+		Seed:                         seed,
+		MaxTicks:                     o.MaxTicks,
+		DisableDiscoveryContinuation: o.DisableDiscoveryContinuation,
+		SCLLockAllReads:              o.SCLLockAllReads,
+		Metrics:                      o.Metrics,
+		Deadline:                     o.RunDeadline,
+		Policy:                       o.Policy,
+		FaultPlan:                    o.FaultPlan,
+	}
+}
+
+// Runs expands the sweep into its seed runs in RunMatrix's order: each
+// cell's seeds in turn. The farm enqueues a /matrix campaign this way.
+func (o MatrixOptions) Runs() []RunParams {
+	var runs []RunParams
+	for _, k := range o.cellKeys() {
+		for _, seed := range o.Seeds {
+			runs = append(runs, o.run(k, seed))
+		}
+	}
+	return runs
 }
 
 // RunnerFunc executes one run of a sweep and reports the result, the
@@ -143,32 +198,19 @@ func (m *Matrix) Normalized(bench string, cfg ConfigID, metric func(*Aggregate) 
 // deadlock, deadline) are isolated into Matrix.Failures instead of aborting
 // the sweep: the cell aggregates whatever seeds survived.
 func RunMatrix(opts MatrixOptions) (*Matrix, error) {
-	type jobKey struct {
-		bench string
-		cfg   ConfigID
-		retry int
-	}
 	type jobResult struct {
-		key          jobKey
+		key          cellKey
 		agg          *Aggregate
 		fails        []RunFailure
 		hits, misses int
 	}
 
-	var jobs []jobKey
-	for _, b := range opts.Benchmarks {
-		for _, c := range opts.Configs {
-			for _, r := range opts.RetryLimits {
-				jobs = append(jobs, jobKey{b, c, r})
-			}
-		}
-	}
-
+	jobs := opts.cellKeys()
 	par := opts.Parallelism
 	if par < 1 {
 		par = 1
 	}
-	jobCh := make(chan jobKey)
+	jobCh := make(chan cellKey)
 	resCh := make(chan jobResult, len(jobs))
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
@@ -176,7 +218,7 @@ func RunMatrix(opts MatrixOptions) (*Matrix, error) {
 		go func() {
 			defer wg.Done()
 			for k := range jobCh {
-				agg, fails, hits, misses := runCell(opts, k.bench, k.cfg, k.retry)
+				agg, fails, hits, misses := runCell(opts, k)
 				resCh <- jobResult{k, agg, fails, hits, misses}
 			}
 		}()
@@ -260,7 +302,7 @@ func betterAggregate(cur, cand *Aggregate) bool {
 // simulation. Failed seeds are reported individually; the aggregate covers
 // the survivors and is nil when every seed failed. hits/misses count the
 // cache consults of this cell's seed runs.
-func runCell(opts MatrixOptions, bench string, cfg ConfigID, retry int) (agg *Aggregate, fails []RunFailure, hits, misses int) {
+func runCell(opts MatrixOptions, k cellKey) (agg *Aggregate, fails []RunFailure, hits, misses int) {
 	run := opts.Runner
 	if run == nil {
 		run = func(p RunParams) (*RunResult, *RunFailure, bool) {
@@ -269,22 +311,7 @@ func runCell(opts MatrixOptions, bench string, cfg ConfigID, retry int) (agg *Ag
 	}
 	results := make([]*RunResult, 0, len(opts.Seeds))
 	for _, seed := range opts.Seeds {
-		p := RunParams{
-			Benchmark:                    bench,
-			Config:                       cfg,
-			Cores:                        opts.Cores,
-			OpsPerThread:                 opts.OpsPerThread,
-			RetryLimit:                   retry,
-			Seed:                         seed,
-			MaxTicks:                     opts.MaxTicks,
-			DisableDiscoveryContinuation: opts.DisableDiscoveryContinuation,
-			SCLLockAllReads:              opts.SCLLockAllReads,
-			Metrics:                      opts.Metrics,
-			Deadline:                     opts.RunDeadline,
-			Policy:                       opts.Policy,
-			FaultPlan:                    opts.FaultPlan,
-		}
-		res, fail, hit := run(p)
+		res, fail, hit := run(opts.run(k, seed))
 		if hit {
 			hits++
 		} else if opts.Store != nil || opts.Runner != nil {
@@ -301,13 +328,7 @@ func runCell(opts MatrixOptions, bench string, cfg ConfigID, retry int) (agg *Ag
 	}
 	agg, err := aggregateRuns(results)
 	if err != nil {
-		fails = append(fails, RunFailure{
-			Benchmark:  bench,
-			Config:     cfg,
-			RetryLimit: retry,
-			Seed:       results[0].Params.Seed,
-			Reason:     "aggregate: " + err.Error(),
-		})
+		fails = append(fails, *results[0].Params.Failure("aggregate: " + err.Error()))
 		return nil, fails, hits, misses
 	}
 	agg.CacheHits = hits

@@ -104,7 +104,7 @@ func DecodeCacheRecord(payload []byte) (*CacheRecord, error) {
 // LookupCached returns the cached result of p from st, if one exists. A nil
 // store, an uncacheable run, or an undecodable record all report a miss; the
 // caller falls back to simulating. The restored RunResult carries p itself
-// as Params, so aggregation code is oblivious to where the result came from.
+// as Params.
 func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 	if st == nil || !p.Cacheable() {
 		return nil, false
@@ -124,6 +124,12 @@ func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 		// rather than replay a result that lacks one.
 		return nil, false
 	}
+	return rec.Result(p), true
+}
+
+// Result restores the RunResult of p from its record, so aggregation code
+// is oblivious to where the result came from.
+func (rec *CacheRecord) Result(p RunParams) *RunResult {
 	return &RunResult{
 		Params: p,
 		Stats:  rec.Stats,
@@ -131,7 +137,7 @@ func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 		Energy: rec.Energy,
 		Faults: rec.Faults,
 		Oracle: rec.Oracle,
-	}, true
+	}
 }
 
 // EncodeCacheRecord renders the persisted JSON form of a successful run

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/policy"
 	"repro/internal/runstore"
 )
@@ -64,6 +67,50 @@ func TestRunParamsSpecCoverage(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("RunParams field %q no longer exists: update the spec coverage lists (and bump runstore.SpecVersion if it was keyed)", name)
 		}
+	}
+
+	// RunParams is also the farm's wire form: every keyed field travels
+	// under a JSON name, and no host-side field does.
+	for _, n := range specKeyed {
+		f, _ := typ.FieldByName(n)
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" || name == "-" {
+			t.Errorf("keyed RunParams field %q has no JSON name: the farm wire would drop it", n)
+		}
+	}
+	for _, n := range specHostSide {
+		if f, _ := typ.FieldByName(n); f.Tag.Get("json") != "-" {
+			t.Errorf("host-side RunParams field %q is not json:\"-\"", n)
+		}
+	}
+
+	// A run with every keyed field set keeps its key across the wire.
+	plan, err := fault.PresetPlan("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := RunParams{
+		Benchmark: "hashmap", Config: ConfigW, Cores: 4, OpsPerThread: 8,
+		RetryLimit: 3, Seed: 7, MaxTicks: 123_456,
+		SLE: true, Oracle: true, Mesh: true,
+		DisableDiscoveryContinuation: true, SCLLockAllReads: true,
+		ERTEntries: 8, ALTEntries: 16, CRTEntries: 32, CRTWays: 4,
+		FaultPlan: plan, Policy: mustPolicy(t, "retry:n=2"),
+	}
+	for _, n := range specKeyed {
+		if reflect.ValueOf(p).FieldByName(n).IsZero() {
+			t.Fatalf("round-trip fixture leaves keyed field %q zero", n)
+		}
+	}
+	wire, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back RunParams
+	if err := json.Unmarshal(wire, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Spec().Key(), p.Spec().Key(); got != want {
+		t.Fatalf("JSON round trip changed the key %s -> %s:\n%s", want, got, wire)
 	}
 }
 

@@ -27,7 +27,7 @@ func RunRetrySweep(opts MatrixOptions) (*RetrySweep, error) {
 		for _, cfg := range opts.Configs {
 			s.Cycles[bench][cfg] = make(map[int]float64)
 			for _, retry := range opts.RetryLimits {
-				agg, fails, _, _ := runCell(opts, bench, cfg, retry)
+				agg, fails, _, _ := runCell(opts, cellKey{bench, cfg, retry})
 				if agg == nil {
 					reason := "no surviving seeds"
 					if len(fails) > 0 {

@@ -119,6 +119,25 @@ func (s Spec) Canonical() string {
 
 func (s Spec) String() string { return s.Canonical() }
 
+// MarshalText renders the spec for the farm wire: canonical, with the
+// default elided to the empty string, as the cache key elides it.
+func (s Spec) MarshalText() ([]byte, error) {
+	if s.IsDefault() {
+		return nil, nil
+	}
+	return []byte(s.Canonical()), nil
+}
+
+// UnmarshalText decodes a spec through Parse.
+func (s *Spec) UnmarshalText(b []byte) error {
+	spec, err := Parse(string(b))
+	if err != nil {
+		return err
+	}
+	*s = spec
+	return nil
+}
+
 // Grammar is the accepted -policy syntax, quoted by parse errors so a typo
 // on any tool's command line names what would have been accepted.
 const Grammar = `name[:key=value[,key=value...]] — one of "clear", "retry[:n=<int>,backoff=exp|none]", "ewma[:alpha=<0..1>,floor=<0..1>]"`

@@ -27,11 +27,26 @@ type IntervalSample struct {
 	ActiveCores int
 }
 
+// maxSamples caps the interval samples SampleIntervals produces: 2²⁰
+// samples cover 10¹⁰ ticks at the default 10,000-tick width, far beyond
+// any sweep's tick budget.
+const maxSamples = 1 << 20
+
 // SampleIntervals folds a stream of events into per-interval activity
-// samples of the given width (ticks). Width must be > 0.
-func SampleIntervals(meta Meta, evs []Event, width sim.Tick) []IntervalSample {
+// samples of the given width (ticks). Width must be > 0. The sample count
+// follows from the last tick, not the event count, so a stream whose ticks
+// would need more than maxSamples samples is an error, reported before
+// anything is allocated.
+func SampleIntervals(meta Meta, evs []Event, width sim.Tick) ([]IntervalSample, error) {
 	if width == 0 || len(evs) == 0 {
-		return nil
+		return nil, nil
+	}
+	var last sim.Tick
+	for _, e := range evs {
+		last = max(last, e.Tick)
+	}
+	if last/width >= maxSamples {
+		return nil, fmt.Errorf("trace: tick %d at interval width %d needs more than %d samples", last, width, maxSamples)
 	}
 	var out []IntervalSample
 	locked := make(map[uint64]bool)
@@ -48,7 +63,7 @@ func SampleIntervals(meta Meta, evs []Event, width sim.Tick) []IntervalSample {
 		return n
 	}
 	flushTo := func(tick sim.Tick) {
-		for tick >= cur.Start+width {
+		for tick >= cur.Start && tick-cur.Start >= width {
 			cur.LockedLines = len(locked)
 			cur.ActiveCores = countActive()
 			out = append(out, cur)
@@ -90,7 +105,7 @@ func SampleIntervals(meta Meta, evs []Event, width sim.Tick) []IntervalSample {
 	cur.LockedLines = len(locked)
 	cur.ActiveCores = countActive()
 	out = append(out, cur)
-	return out
+	return out, nil
 }
 
 // WriteIntervalCSV renders samples as CSV on w.

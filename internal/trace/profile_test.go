@@ -206,7 +206,10 @@ func TestSampleIntervalsBoundary(t *testing.T) {
 		pCommit(0, 0, 1, cpu.ModeSpeculative),
 		pCommit(10, 0, 1, cpu.ModeSpeculative), // exactly on the boundary
 	}
-	s := SampleIntervals(meta, evs, 10)
+	s, err := SampleIntervals(meta, evs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 2 {
 		t.Fatalf("want 2 intervals, got %d: %+v", len(s), s)
 	}
@@ -228,7 +231,10 @@ func TestSampleIntervalsQuietGap(t *testing.T) {
 		pLock(1, 0, 5, LockOK, -1),
 		pCommit(35, 0, 1, cpu.ModeNSCL), // lands in interval [30,40)
 	}
-	s := SampleIntervals(meta, evs, 10)
+	s, err := SampleIntervals(meta, evs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s) != 4 {
 		t.Fatalf("want 4 intervals, got %d: %+v", len(s), s)
 	}
@@ -249,11 +255,11 @@ func TestSampleIntervalsQuietGap(t *testing.T) {
 // empty streams.
 func TestSampleIntervalsDegenerate(t *testing.T) {
 	meta := Meta{Cores: 1}
-	if s := SampleIntervals(meta, []Event{pCommit(0, 0, 1, cpu.ModeSpeculative)}, 0); s != nil {
-		t.Fatalf("zero width: want nil, got %+v", s)
+	if s, err := SampleIntervals(meta, []Event{pCommit(0, 0, 1, cpu.ModeSpeculative)}, 0); s != nil || err != nil {
+		t.Fatalf("zero width: want nil, got %+v, %v", s, err)
 	}
-	if s := SampleIntervals(meta, nil, 10); s != nil {
-		t.Fatalf("empty stream: want nil, got %+v", s)
+	if s, err := SampleIntervals(meta, nil, 10); s != nil || err != nil {
+		t.Fatalf("empty stream: want nil, got %+v, %v", s, err)
 	}
 }
 

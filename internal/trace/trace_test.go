@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/htm"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 func lockOK() coherence.LockResult    { return coherence.LockResult{} }
@@ -207,6 +208,46 @@ func TestReaderRejectsCoreOverflow(t *testing.T) {
 	}
 }
 
+// TestSampleIntervalsRejectsFarTick: the 62-byte fixture is
+// cores-overflow.trace with one core and its commit at tick 2³⁴. Sampling
+// it used to allocate one sample per interval up to that tick (1.7 M at the
+// default width) until the process ran out of memory; the sample count now
+// follows from the last tick and is capped before anything is allocated.
+func TestSampleIntervalsRejectsFarTick(t *testing.T) {
+	f, err := os.Open("testdata/far-tick.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || evs[0].Tick != 1<<34 {
+		t.Fatalf("fixture holds %+v, want one event at tick 2^34", evs)
+	}
+	for _, width := range []sim.Tick{1, 10_000, (1 << 34) / maxSamples} {
+		s, err := SampleIntervals(rd.Meta(), evs, width)
+		if err == nil || !strings.HasPrefix(err.Error(), "trace: ") || s != nil {
+			t.Errorf("width %d: got %d samples, err %v; want a trace: error", width, len(s), err)
+		}
+	}
+	// A width that covers the tick in maxSamples samples is accepted.
+	s, err := SampleIntervals(rd.Meta(), evs, 1<<20)
+	if err != nil || len(s) != 1<<14+1 {
+		t.Fatalf("width 2^20: got %d samples, err %v; want 2^14+1", len(s), err)
+	}
+	// So is a tick near the top of the range, without wrapping.
+	far := []Event{{Tick: ^sim.Tick(0), Kind: KindCommit}}
+	if s, err := SampleIntervals(rd.Meta(), far, 1<<63); err != nil || len(s) != 2 {
+		t.Fatalf("tick 2^64-1 at width 2^63: got %d samples, err %v; want 2", len(s), err)
+	}
+}
+
 // makeSyntheticStream builds a small two-core stream with a lock wait.
 func makeSyntheticStream(t *testing.T) (Meta, []Event) {
 	t.Helper()
@@ -314,8 +355,12 @@ func TestFilterEvents(t *testing.T) {
 func TestPerfettoSchema(t *testing.T) {
 	meta, evs := makeSyntheticStream(t)
 	tl := BuildTimeline(meta, evs)
+	samples, err := SampleIntervals(meta, evs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tl, SampleIntervals(meta, evs, 1)); err != nil {
+	if err := WritePerfetto(&buf, tl, samples); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -385,7 +430,10 @@ func TestWriteText(t *testing.T) {
 // boundaries.
 func TestSampleIntervals(t *testing.T) {
 	meta, evs := makeSyntheticStream(t)
-	samples := SampleIntervals(meta, evs, 1)
+	samples, err := SampleIntervals(meta, evs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(samples) == 0 {
 		t.Fatal("no samples")
 	}
