@@ -122,14 +122,3 @@ func (t *ERT) Peek(pc int) *ERTEntry {
 	}
 	return nil
 }
-
-// ValidCount returns the number of valid entries.
-func (t *ERT) ValidCount() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid {
-			n++
-		}
-	}
-	return n
-}

@@ -129,6 +129,12 @@ func DefaultSystemConfig() SystemConfig {
 	}
 }
 
+// maxTableEntries bounds the ERTEntries and CRTEntries overrides. Both
+// tables are allocated whole for every core when the machine is built, so
+// an unbounded size is an out-of-memory crash; the paper's largest table has
+// 64 entries. The ALT grows lazily and needs no bound.
+const maxTableEntries = 4096
+
 // Validate sanity-checks the configuration.
 func (c SystemConfig) Validate() error {
 	if c.Cores <= 0 || c.Cores > 64 {
@@ -144,6 +150,12 @@ func (c SystemConfig) Validate() error {
 		// A zero poll period would stop simulated time while a core waits
 		// on the fallback lock, so the tick budget could never fire.
 		return fmt.Errorf("cpu: spin interval %d must be >= 1", c.SpinInterval)
+	}
+	if c.ERTEntries > maxTableEntries {
+		return fmt.Errorf("cpu: ERT entries %d exceed %d", c.ERTEntries, maxTableEntries)
+	}
+	if c.CRTEntries > maxTableEntries {
+		return fmt.Errorf("cpu: CRT entries %d exceed %d", c.CRTEntries, maxTableEntries)
 	}
 	return nil
 }

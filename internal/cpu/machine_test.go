@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 func counterProg(id int) *isa.Program {
@@ -127,15 +128,38 @@ func TestAtomicCounterNSCL(t *testing.T) {
 	}
 }
 
-// TestSpinIntervalMustBePositive: a zero poll period would stop simulated
-// time while a core waits on the fallback lock, so Validate rejects it; the
-// smallest legal period still runs a contended counter to completion.
-func TestSpinIntervalMustBePositive(t *testing.T) {
+// TestSystemConfigValidate pins each bound Validate enforces: the bound is
+// accepted and one step past it is rejected. A zero poll period would stop
+// simulated time while a core waits on the fallback lock, and an oversized
+// ERT or CRT is allocated whole for every core; the smallest legal poll
+// period still runs a contended counter to completion.
+func TestSystemConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field   string
+		set     func(*SystemConfig, int)
+		ok, bad int
+	}{
+		{"Cores", func(c *SystemConfig, v int) { c.Cores = v }, 1, 0},
+		{"Cores", func(c *SystemConfig, v int) { c.Cores = v }, 64, 65},
+		{"RetryLimit", func(c *SystemConfig, v int) { c.RetryLimit = v }, 1, 0},
+		{"SQEntries", func(c *SystemConfig, v int) { c.SQEntries = v }, 1, 0},
+		{"SpinInterval", func(c *SystemConfig, v int) { c.SpinInterval = sim.Tick(v) }, 1, 0},
+		{"ERTEntries", func(c *SystemConfig, v int) { c.ERTEntries = v }, maxTableEntries, maxTableEntries + 1},
+		{"CRTEntries", func(c *SystemConfig, v int) { c.CRTEntries = v }, maxTableEntries, maxTableEntries + 1},
+	} {
+		cfg := DefaultSystemConfig()
+		tc.set(&cfg, tc.ok)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s = %d rejected: %v", tc.field, tc.ok, err)
+		}
+		tc.set(&cfg, tc.bad)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s = %d accepted", tc.field, tc.bad)
+		}
+	}
+
 	cfg := DefaultSystemConfig()
 	cfg.SpinInterval = 0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted SpinInterval 0")
-	}
 	if _, err := NewMachine(cfg, mem.NewMemory(0x1000)); err == nil {
 		t.Fatal("NewMachine accepted SpinInterval 0")
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -553,9 +554,19 @@ func TestFarmWireCompatibility(t *testing.T) {
 	}
 }
 
+// seedList renders the JSON list of seeds 1..n.
+func seedList(n int) string {
+	seeds := make([]string, n)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(seeds, ",")
+}
+
 // TestFarmRejectsMalformed: every malformed submission is a 400 and
-// enqueues nothing — in particular a core count that would exhaust memory in
-// workload setup, where no recover can catch the fatal error.
+// enqueues nothing — in particular a core count, invocation count, table
+// size or campaign size that would exhaust memory in workload setup, where
+// no recover can catch the fatal error.
 func TestFarmRejectsMalformed(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, Retry: fastRetry(), Exec: okExec})
 	defer srv.Close()
@@ -577,6 +588,12 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		{"/jobs", `{` + job},
 		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"cores":2,"ops_per_thread":4}`},
 		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2,0],"seeds":[1],"cores":2,"ops_per_thread":4}`},
+		// Each of these used to kill the server out of memory in setup.
+		{"/jobs", `{` + job + `,"cores":2,"ops_per_thread":1099511627776}`},
+		{"/jobs", `{` + job + `,"cores":4,"ops_per_thread":4611686018427387904}`},
+		{"/jobs", `{` + job + `,"cores":2,"ert_entries":1099511627776}`},
+		{"/jobs", `{` + job + `,"cores":2,"crt_entries":1099511627776,"crt_ways":1}`},
+		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"seeds":[` + seedList(65537) + `],"cores":2,"ops_per_thread":4}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -584,7 +601,7 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %s: HTTP %d, want 400", tc.path, tc.body, resp.StatusCode)
+			t.Errorf("POST %s %.200s: HTTP %d, want 400", tc.path, tc.body, resp.StatusCode)
 		}
 	}
 	if total := srv.Stats().Total(); total != 0 {

@@ -1,7 +1,8 @@
 // Package farm turns clearbench into a crash-tolerant sweep farm: an HTTP
 // job-queue service (Server) and client (Client) over the content-addressed
-// run cache. Runs are pure functions of a canonical RunSpec
-// (internal/runstore), so the farm is one giant memoized sweep:
+// run cache (internal/runstore). Runs are pure functions of their
+// harness.RunParams, keyed by RunParams.Spec().Key(), so the farm is one
+// giant memoized sweep:
 //
 //   - the wire carries the harness's own run description, with no copy of
 //     it here: harness.RunParams JSON for one job (POST /jobs) and
@@ -27,12 +28,17 @@ import (
 	"repro/internal/harness"
 )
 
+// maxJobOps caps a job's total invocations, cores × ops_per_thread. Workload
+// setup allocates in proportion to it: at 64 × 16,384 the largest image
+// (labyrinth) takes 623 MB, while the largest in-tree run is 32 × 120.
+const maxJobOps = 1 << 20
+
 // validate is the farm's submit-time check of a run that came from outside,
 // applied before the run is keyed. Beyond what decoding already rejects (an
 // unknown config letter or policy), it refuses what harness.Run would
 // refuse and what could take the whole server down in workload setup: an
-// out-of-range core count dies with a fatal out-of-memory error that no
-// recover can catch.
+// out-of-range core count, invocation count or table size dies with a fatal
+// out-of-memory error that no recover can catch.
 func validate(p harness.RunParams) error {
 	if p.Benchmark == "" {
 		return errors.New("farm: job has no benchmark")
@@ -42,6 +48,12 @@ func validate(p harness.RunParams) error {
 	}
 	if err := p.SystemConfig().Validate(); err != nil {
 		return fmt.Errorf("farm: job: %w", err)
+	}
+	// Validate bounds cores to 1–64; dividing keeps the product from
+	// wrapping.
+	if p.OpsPerThread > maxJobOps/p.Cores {
+		return fmt.Errorf("farm: job: %d cores × %d ops_per_thread exceeds %d invocations",
+			p.Cores, p.OpsPerThread, maxJobOps)
 	}
 	if p.FaultPlan != nil {
 		if err := p.FaultPlan.Validate(); err != nil {

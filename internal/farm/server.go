@@ -168,15 +168,27 @@ func (s *Server) enqueue(p harness.RunParams) (JobStatus, error) {
 	return j.statusLocked(), nil
 }
 
+// maxMatrixRuns caps the runs one /matrix campaign expands to; the full
+// paper matrix is 912.
+const maxMatrixRuns = 1 << 16
+
 // SubmitMatrix expands a campaign through MatrixOptions.Runs — the
 // expansion RunMatrix dispatches — validates every run, and only then
-// enqueues them, so a bad cell enqueues nothing. The response lists the job
-// keys in expansion order.
+// enqueues them, so a bad cell enqueues nothing. A campaign of more than
+// maxMatrixRuns runs is refused before it is expanded. The response lists
+// the job keys in expansion order.
 func (s *Server) SubmitMatrix(opts harness.MatrixOptions) (MatrixResponse, error) {
-	runs := opts.Runs()
-	if len(runs) == 0 {
-		return MatrixResponse{}, errors.New("farm: matrix request needs benchmarks, configs, retry_limits and seeds")
+	n := 1
+	for _, axis := range []int{len(opts.Benchmarks), len(opts.Configs), len(opts.RetryLimits), len(opts.Seeds)} {
+		if axis == 0 {
+			return MatrixResponse{}, errors.New("farm: matrix request needs benchmarks, configs, retry_limits and seeds")
+		}
+		if n > maxMatrixRuns/axis {
+			return MatrixResponse{}, fmt.Errorf("farm: matrix request expands to more than %d runs", maxMatrixRuns)
+		}
+		n *= axis
 	}
+	runs := opts.Runs()
 	for _, p := range runs {
 		if err := validate(p); err != nil {
 			return MatrixResponse{}, fmt.Errorf("farm: matrix cell %s/%s retry=%d seed=%d: %w",

@@ -112,36 +112,3 @@ func (cp ConfigPolicy) String() string {
 	}
 	return cp.Config.String() + "+" + cp.Policy.Canonical()
 }
-
-// ParseConfigPolicies resolves a list of config+policy tokens separated by
-// commas or whitespace. Policy parameter lists use commas too
-// ("C+retry:n=2,backoff=none,W"): a separated chunk containing '=' cannot
-// start a new token — config letters carry no parameters — so it is re-joined
-// onto the previous token. Order and duplicates are preserved.
-func ParseConfigPolicies(s string) ([]ConfigPolicy, error) {
-	chunks := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t'
-	})
-	var tokens []string
-	for _, ch := range chunks {
-		if strings.Contains(ch, "=") && !strings.Contains(ch, "+") && len(tokens) > 0 {
-			// "backoff=none" after "C+retry:n=2" is a parameter of the
-			// previous token's policy, split off by the comma.
-			tokens[len(tokens)-1] += "," + ch
-			continue
-		}
-		tokens = append(tokens, ch)
-	}
-	out := make([]ConfigPolicy, 0, len(tokens))
-	for _, tok := range tokens {
-		cp, err := ParseConfigPolicy(tok)
-		if err != nil {
-			return nil, fmt.Errorf("config+policy set %q: %w", s, err)
-		}
-		out = append(out, cp)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("config+policy set %q selects nothing (grammar: CONFIG[+POLICY] tokens, config %s)", s, configGrammar)
-	}
-	return out, nil
-}

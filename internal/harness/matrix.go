@@ -60,9 +60,9 @@ type MatrixOptions struct {
 	// functions of their RunParams, a cancelled or crashed sweep restarted
 	// with the same store recomputes only the missing and failed cells —
 	// resume semantics fall out of caching. Safe to share across the
-	// parallel workers. Any Backend works: the local sharded directory, the
-	// in-memory Mem, or a remote store. Leave nil when Runner is set (the
-	// runner owns execution, including any caching).
+	// parallel workers: the local sharded directory or the in-memory Mem.
+	// Leave nil when Runner is set (the runner owns execution, including
+	// any caching).
 	Store runstore.Backend `json:"-"`
 	// Runner, when non-nil, replaces the local execute-one-run path
 	// (RunCheckedCached against Store) for every seed run of the sweep. The

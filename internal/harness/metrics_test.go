@@ -62,9 +62,12 @@ func TestMetricsCoexistence(t *testing.T) {
 		t.Fatalf("full observer stack perturbed the run:\n off: %s\n on:  %s", d1, d2)
 	}
 	if buf.Len() == 0 {
-		t.Fatal("tracer wrote nothing with metrics attached")
+		t.Fatal("tracer wrote nothing with oracle and metrics attached")
 	}
 	ins := p.Metrics.Instruments()
+	if got := ins.Invocations.Value(); got != all.Stats.Commits {
+		t.Fatalf("registry counted %d invocations alongside the oracle, stats %d commits", got, all.Stats.Commits)
+	}
 	if ins.RunsFinished.Value() != 1 || ins.ActiveRuns.Value() != 0 {
 		t.Fatalf("run lifecycle counters off: started=%d finished=%d active=%d",
 			ins.RunsStarted.Value(), ins.RunsFinished.Value(), ins.ActiveRuns.Value())

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/coherence"
@@ -11,54 +14,76 @@ import (
 	"repro/internal/stats"
 )
 
-// cacheSalt ties every cache key to the code version of the statistics
-// schema: when a simulator change alters the stats a given RunParams
-// produces, stats.DigestSchemaVersion must be bumped, which changes the salt
-// and orphans all previously cached records (see internal/runstore).
-func cacheSalt() string {
-	return fmt.Sprintf("stats-digest/v%d", stats.DigestSchemaVersion)
+// specVersion identifies the canonical encoding of RunSpec and the layout of
+// the cached payloads. Bump it whenever either changes — for example when a
+// digest-affecting field is added to RunParams — so every previously cached
+// record is orphaned (its key can no longer be derived) instead of silently
+// replayed with stale semantics.
+const specVersion = 1
+
+// RunSpec is the canonical, versioned text of one run's digest-affecting
+// parameters: the exact bytes hashed into its run-store key, and the text a
+// cache record embeds for human auditing.
+type RunSpec string
+
+// Key returns the content address of the spec: the lowercase hex SHA-256 of
+// its text.
+func (s RunSpec) Key() string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
-// Spec returns the canonical, versioned cache spec of the run: the flat
-// runstore mirror of every digest-affecting parameter plus the code-version
-// salt. Host-side knobs (trace writers, metrics registries, wall deadlines)
-// are deliberately excluded — they never change the simulated outcome.
+// Spec renders the run's canonical cache spec: a versioned header, a salt
+// naming the statistics digest schema, then one key=value line per
+// digest-affecting parameter in a fixed order. Host-side knobs (trace
+// writers, metrics registries, wall deadlines) are deliberately excluded —
+// they never change the simulated outcome. The format is append-only within
+// a spec version: any reordering, rename, or addition requires bumping
+// specVersion. TestSpecCanonicalGolden pins the bytes.
 //
-// A reflection test (TestRunParamsSpecCoverage) pins the RunParams field set,
-// so adding a field without classifying it here fails loudly.
-func (p RunParams) Spec() runstore.RunSpec {
-	spec := runstore.RunSpec{
-		Benchmark:    p.Benchmark,
-		Config:       p.Config.String(),
-		Cores:        p.Cores,
-		OpsPerThread: p.OpsPerThread,
-		RetryLimit:   p.RetryLimit,
-		Seed:         p.Seed,
-		MaxTicks:     uint64(p.MaxTicks),
-		SLE:          p.SLE,
-		Oracle:       p.Oracle,
-		Mesh:         p.Mesh,
-
-		DisableDiscoveryContinuation: p.DisableDiscoveryContinuation,
-		SCLLockAllReads:              p.SCLLockAllReads,
-
-		ERTEntries: p.ERTEntries,
-		ALTEntries: p.ALTEntries,
-		CRTEntries: p.CRTEntries,
-		CRTWays:    p.CRTWays,
-
-		Salt: cacheSalt(),
-	}
+// The salt ties every key to stats.DigestSchemaVersion: a simulator change
+// that alters the statistics a given RunParams produces must bump that
+// version, which changes every key and orphans all previously cached
+// records. A reflection test (TestRunParamsSpecCoverage) pins the RunParams
+// field set, so adding a field without classifying it here fails loudly.
+func (p RunParams) Spec() RunSpec {
+	var b strings.Builder
+	fmt.Fprintf(&b, "runspec/v%d\n", specVersion)
+	fmt.Fprintf(&b, "salt=stats-digest/v%d\n", stats.DigestSchemaVersion)
+	fmt.Fprintf(&b, "benchmark=%s\n", p.Benchmark)
+	fmt.Fprintf(&b, "config=%s\n", p.Config.String())
+	fmt.Fprintf(&b, "cores=%d\n", p.Cores)
+	fmt.Fprintf(&b, "ops_per_thread=%d\n", p.OpsPerThread)
+	fmt.Fprintf(&b, "retry_limit=%d\n", p.RetryLimit)
+	fmt.Fprintf(&b, "seed=%d\n", p.Seed)
+	fmt.Fprintf(&b, "max_ticks=%d\n", uint64(p.MaxTicks))
+	fmt.Fprintf(&b, "sle=%t\n", p.SLE)
+	fmt.Fprintf(&b, "oracle=%t\n", p.Oracle)
+	fmt.Fprintf(&b, "mesh=%t\n", p.Mesh)
+	fmt.Fprintf(&b, "disable_discovery_continuation=%t\n", p.DisableDiscoveryContinuation)
+	fmt.Fprintf(&b, "scl_lock_all_reads=%t\n", p.SCLLockAllReads)
+	fmt.Fprintf(&b, "ert_entries=%d\n", p.ERTEntries)
+	fmt.Fprintf(&b, "alt_entries=%d\n", p.ALTEntries)
+	fmt.Fprintf(&b, "crt_entries=%d\n", p.CRTEntries)
+	fmt.Fprintf(&b, "crt_ways=%d\n", p.CRTWays)
+	// The retired forward-progress watchdog keyed runs here; the line stays,
+	// always empty, so every key derived without a watchdog still resolves.
+	b.WriteString("watchdog=\n")
+	b.WriteString("fault_plan=")
 	if p.FaultPlan != nil {
-		spec.FaultPlan = fmt.Sprintf("%+v", *p.FaultPlan)
+		// Fault injection perturbs the simulation, so two runs under
+		// different plans are different cache entries.
+		fmt.Fprintf(&b, "%+v", *p.FaultPlan)
 	}
+	b.WriteString("\n")
 	if !p.Policy.IsDefault() {
-		// The default policy is elided (empty string): it reproduces the
-		// pre-policy simulator bit-identically, so pre-existing cache keys
-		// must keep resolving.
-		spec.Policy = p.Policy.Canonical()
+		// Default-elision: the policy line appears only for non-default
+		// policies. The default policy is bit-identical to the pre-policy
+		// simulator, so eliding it preserves every previously derived key —
+		// the one sanctioned exception to "append-only within a version".
+		fmt.Fprintf(&b, "policy=%s\n", p.Policy.Canonical())
 	}
-	return spec
+	return RunSpec(b.String())
 }
 
 // Cacheable reports whether the run's outcome is fully captured by a cached
@@ -145,7 +170,7 @@ func (rec *CacheRecord) Result(p RunParams) *RunResult {
 // remote clients, so both sides of the wire decode one schema.
 func EncodeCacheRecord(res *RunResult) ([]byte, error) {
 	payload, err := json.Marshal(CacheRecord{
-		Spec:   res.Params.Spec().Canonical(),
+		Spec:   string(res.Params.Spec()),
 		Stats:  res.Stats,
 		Dir:    res.Dir,
 		Energy: res.Energy,

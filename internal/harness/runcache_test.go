@@ -41,7 +41,7 @@ var (
 
 // TestRunParamsSpecCoverage pins the RunParams field set so a new field
 // cannot silently escape the cache key: adding one fails this test until it
-// is classified as keyed (update RunParams.Spec and bump runstore.SpecVersion)
+// is classified as keyed (update RunParams.Spec and bump specVersion)
 // or host-side (add it to specHostSide with a justification).
 func TestRunParamsSpecCoverage(t *testing.T) {
 	known := make(map[string]bool)
@@ -60,12 +60,12 @@ func TestRunParamsSpecCoverage(t *testing.T) {
 		name := typ.Field(i).Name
 		seen[name] = true
 		if !known[name] {
-			t.Errorf("new RunParams field %q: teach RunParams.Spec about it (and bump runstore.SpecVersion) or list it in specHostSide", name)
+			t.Errorf("new RunParams field %q: teach RunParams.Spec about it (and bump specVersion) or list it in specHostSide", name)
 		}
 	}
 	for name := range known {
 		if !seen[name] {
-			t.Errorf("RunParams field %q no longer exists: update the spec coverage lists (and bump runstore.SpecVersion if it was keyed)", name)
+			t.Errorf("RunParams field %q no longer exists: update the spec coverage lists (and bump specVersion if it was keyed)", name)
 		}
 	}
 
@@ -114,20 +114,95 @@ func TestRunParamsSpecCoverage(t *testing.T) {
 	}
 }
 
-// TestRunSpecGolden pins the cache key of the default hashmap/C run. It must
-// match the canonical-encoding golden in internal/runstore: if either the
-// Spec mapping or the canonical encoding changes, this fails and
-// runstore.SpecVersion (or the salt schema version) must be bumped.
-func TestRunSpecGolden(t *testing.T) {
-	p := DefaultRunParams("hashmap", ConfigC)
+// TestSpecCanonicalGolden pins the canonical encoding byte for byte: it is
+// the hashed content, so any drift (reordering, renaming, formatting)
+// silently orphans every cached record. If this test fails you changed the
+// encoding — bump specVersion and update the golden strings.
+func TestSpecCanonicalGolden(t *testing.T) {
+	p := RunParams{
+		Benchmark:    "hashmap",
+		Config:       ConfigC,
+		Cores:        32,
+		OpsPerThread: 120,
+		RetryLimit:   4,
+		Seed:         1,
+		MaxTicks:     400_000_000,
+	}
+	want := `runspec/v1
+salt=stats-digest/v1
+benchmark=hashmap
+config=C
+cores=32
+ops_per_thread=120
+retry_limit=4
+seed=1
+max_ticks=400000000
+sle=false
+oracle=false
+mesh=false
+disable_discovery_continuation=false
+scl_lock_all_reads=false
+ert_entries=0
+alt_entries=0
+crt_entries=0
+crt_ways=0
+watchdog=
+fault_plan=
+`
 	spec := p.Spec()
-	if spec.Salt != "stats-digest/v1" {
-		t.Fatalf("salt %q: stats.DigestSchemaVersion changed — verify old cache entries are orphaned and update this golden", spec.Salt)
+	if got := string(spec); got != want {
+		t.Fatalf("canonical encoding drifted (bump specVersion!):\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	const wantKey = "97052b078269df342b86310f7a3c4d30450c962f91b9e7b4f35e01d51dc8ba07"
 	if got := spec.Key(); got != wantKey {
-		t.Fatalf("cache key of DefaultRunParams(hashmap, C) changed:\n got %s\nwant %s\ncanonical:\n%s\nIf the change is intentional, bump runstore.SpecVersion and refresh the goldens.",
-			got, wantKey, spec.Canonical())
+		t.Fatalf("cache key drifted (bump specVersion!):\ngot  %s\nwant %s", got, wantKey)
+	}
+}
+
+// TestSpecKeySensitivity checks that each keyed parameter it varies yields
+// a key of its own.
+func TestSpecKeySensitivity(t *testing.T) {
+	base := RunParams{Benchmark: "hashmap", Config: ConfigC, Cores: 8, Seed: 1}
+	variants := map[string]RunParams{}
+	v := base
+	v.Benchmark = "bst"
+	variants["benchmark"] = v
+	v = base
+	v.Config = ConfigW
+	variants["config"] = v
+	v = base
+	v.Seed = 2
+	variants["seed"] = v
+	v = base
+	v.FaultPlan = &fault.Plan{NackRate: 0.1}
+	variants["fault_plan"] = v
+	v = base
+	v.Oracle = true
+	variants["oracle"] = v
+
+	seen := map[string]string{base.Spec().Key(): "base"}
+	for name, p := range variants {
+		k := p.Spec().Key()
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("variant %q collides with %q", name, prev)
+		}
+		seen[k] = name
+	}
+}
+
+// TestRunSpecGolden pins the cache key of the default hashmap/C run, its
+// salt line and the default-elision of the policy line. If the key changes,
+// specVersion (or the salt schema version) must be bumped.
+func TestRunSpecGolden(t *testing.T) {
+	p := DefaultRunParams("hashmap", ConfigC)
+	spec := p.Spec()
+	if !strings.Contains(string(spec), "\nsalt=stats-digest/v1\n") {
+		t.Fatalf("spec lacks salt=stats-digest/v1: stats.DigestSchemaVersion changed — verify old cache entries are orphaned and update this golden:\n%s", spec)
+	}
+	const wantKey = "97052b078269df342b86310f7a3c4d30450c962f91b9e7b4f35e01d51dc8ba07"
+	if got := spec.Key(); got != wantKey {
+		t.Fatalf("cache key of DefaultRunParams(hashmap, C) changed:\n got %s\nwant %s\ncanonical:\n%s\nIf the change is intentional, bump specVersion and refresh the goldens.",
+			got, wantKey, spec)
 	}
 
 	// Attaching the oracle must change the key: it decides whether a run
@@ -140,7 +215,8 @@ func TestRunSpecGolden(t *testing.T) {
 
 	// Policy default-elision: the default policy must not touch the key —
 	// every record cached before policies existed keeps resolving — while a
-	// non-default policy must produce a distinct one.
+	// non-default policy must produce a distinct one, named on the last line
+	// in its canonical form.
 	pp := p
 	pp.Policy = mustPolicy(t, "clear")
 	if got := pp.Spec().Key(); got != wantKey {
@@ -150,8 +226,9 @@ func TestRunSpecGolden(t *testing.T) {
 	if pp.Spec().Key() == wantKey {
 		t.Fatal("non-default policy did not change the cache key")
 	}
-	if got := pp.Spec().Policy; got != "retry:backoff=exp,n=2" {
-		t.Fatalf("spec policy rendering %q, want canonical form", got)
+	lines := strings.Split(strings.TrimSuffix(string(pp.Spec()), "\n"), "\n")
+	if got := lines[len(lines)-1]; got != "policy=retry:backoff=exp,n=2" {
+		t.Fatalf("last spec line %q, want policy=retry:backoff=exp,n=2", got)
 	}
 }
 

@@ -71,7 +71,8 @@ type Spec struct {
 }
 
 // IsDefault reports whether the spec selects the default CLEAR policy —
-// the case RunSpec elides so every pre-policy cache key stays valid.
+// the case the run-cache spec elides so every pre-policy cache key stays
+// valid.
 func (s Spec) IsDefault() bool { return s.Kind == KindClear }
 
 // Name returns the policy family name.

@@ -4,9 +4,7 @@ import "sync"
 
 // Mem is the in-memory Backend: a plain locked map with no persistence. It
 // backs tests and ephemeral farm servers (a farm whose whole value is the
-// in-flight dedup, not the durable cache), and doubles as the reference
-// implementation for remote backends — anything that behaves like Mem
-// behaves like the harness expects.
+// in-flight dedup, not the durable cache).
 type Mem struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -27,20 +25,12 @@ func (s *Mem) Get(key string) (payload []byte, ok bool, err error) {
 	return p, ok, nil
 }
 
-// Put stores payload under key, overwriting any previous record.
+// Put stores a copy of payload under key, overwriting any previous record.
 func (s *Mem) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[key] = append([]byte(nil), payload...)
 	return nil
-}
-
-// Contains reports whether key has a record.
-func (s *Mem) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[key]
-	return ok
 }
 
 // Len returns the number of stored records.

@@ -98,8 +98,9 @@ type Run struct {
 
 	// Retry-policy counters (internal/policy). Deliberately excluded from
 	// Digest(): the default policy reproduces the legacy digests
-	// bit-identically, and non-default policies are keyed into the runstore
-	// cache by RunSpec, so digest-keying them would be redundant.
+	// bit-identically, and non-default policies are keyed into the run
+	// cache by harness.RunParams.Spec, so digest-keying them would be
+	// redundant.
 	//
 	// PolicyOverrides counts decisions where the policy overrode the §4.3
 	// mechanism proposal (always a serialization to fallback).
