@@ -141,7 +141,7 @@ func Attach(m *cpu.Machine) *Oracle {
 		o.cores[i].footprint = make(map[mem.LineAddr]bool)
 		o.cores[i].touched = make(map[mem.LineAddr]bool)
 	}
-	o.auditFn = o.audit
+	o.auditFn = m.Engine.Register(o.audit)
 	m.AddProbe(o)
 	m.Dir.AddObserver(o)
 	m.Engine.Schedule(o.auditPeriod, o.auditFn)

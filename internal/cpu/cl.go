@@ -103,7 +103,7 @@ func (c *Core) lockWalk(i int) {
 	c.engine().Schedule(lat, c.lockWalkFn)
 }
 
-// resumeLockWalk is the pre-bound continuation of an in-flight lock walk:
+// resumeLockWalk is the registered continuation of an in-flight lock walk:
 // it resumes at the saved table index (a typed event record rather than a
 // fresh closure per scheduled step).
 func (c *Core) resumeLockWalk() { c.lockWalk(c.walkIdx) }

@@ -172,11 +172,11 @@ type Core struct {
 	pol    policy.Policy
 	polCtx policy.Context
 
-	// Pre-bound event functions, created once in newCore. Scheduling a
-	// method value (c.step) evaluates to a fresh closure on every use, and
-	// since the engine retains it the allocation is a heap allocation —
-	// on every simulated instruction. Binding each continuation once makes
-	// the whole schedule path allocation-free.
+	// The core's continuations, registered with the engine once in
+	// newCore. Scheduling a method value (c.step) would evaluate to a fresh
+	// closure on every use — a heap allocation per simulated instruction —
+	// while a registered handle costs nothing to queue and keeps the event
+	// queue free of pointers.
 	stepFn           sim.Event
 	beginAttemptFn   sim.Event
 	nextInvocationFn sim.Event
@@ -212,14 +212,14 @@ func newCore(id int, m *Machine) *Core {
 	})
 	c.polCtx.Core = id
 	c.polCtx.Rand = c.rng.Intn
-	c.stepFn = c.step
-	c.beginAttemptFn = c.beginAttempt
-	c.nextInvocationFn = c.nextInvocation
-	c.finishInvFn = c.finishInvocation
-	c.completeOpFn = c.completeOp
-	c.lockWalkFn = c.resumeLockWalk
-	c.acquireReadLckFn = c.acquireFallbackReadLock
-	c.tryFallbackWrFn = c.tryAcquireFallbackWrite
+	c.stepFn = m.Engine.Register(c.step)
+	c.beginAttemptFn = m.Engine.Register(c.beginAttempt)
+	c.nextInvocationFn = m.Engine.Register(c.nextInvocation)
+	c.finishInvFn = m.Engine.Register(c.finishInvocation)
+	c.completeOpFn = m.Engine.Register(c.completeOp)
+	c.lockWalkFn = m.Engine.Register(c.resumeLockWalk)
+	c.acquireReadLckFn = m.Engine.Register(c.acquireFallbackReadLock)
+	c.tryFallbackWrFn = m.Engine.Register(c.tryAcquireFallbackWrite)
 	return c
 }
 

@@ -594,6 +594,11 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		{"/jobs", `{` + job + `,"cores":2,"ert_entries":1099511627776}`},
 		{"/jobs", `{` + job + `,"cores":2,"crt_entries":1099511627776,"crt_ways":1}`},
 		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"seeds":[` + seedList(65537) + `],"cores":2,"ops_per_thread":4}`},
+		// Fault magnitudes past the tick cap: the first panicked the run's
+		// delay draw, the second wrapped each stall to one tick less.
+		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"EventDelayRate":1,"EventDelayMax":9223372036854775808}}`},
+		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"StallRate":1,"StallTicks":18446744073709551615}}`},
+		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"seeds":[1],"cores":4,"ops_per_thread":8,"fault_plan":{"StallRate":1,"StallTicks":18446744073709551615}}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

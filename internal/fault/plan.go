@@ -223,6 +223,11 @@ func (p *Plan) Clone() *Plan {
 	return &cp
 }
 
+// maxTicks caps every tick-valued field of a Plan. The largest preset
+// magnitude is 10,000 ticks; a value near 2⁶⁴ wraps the latency it is
+// added to, and one past the int range panics the delay draw.
+const maxTicks sim.Tick = 1 << 32
+
 // Validate sanity-checks rates and magnitudes.
 func (p *Plan) Validate() error {
 	for _, r := range []struct {
@@ -245,6 +250,22 @@ func (p *Plan) Validate() error {
 	}
 	if p.NackBurst < 0 {
 		return fmt.Errorf("fault: NackBurst=%d negative", p.NackBurst)
+	}
+	for _, f := range []struct {
+		name string
+		v    sim.Tick
+	}{
+		{"EventDelayMax", p.EventDelayMax},
+		{"StallTicks", p.StallTicks},
+		{"LockStallTicks", p.LockStallTicks},
+		{"LockedLineDelayTicks", p.LockedLineDelayTicks},
+		{"PowerDenyPeriod", p.PowerDenyPeriod},
+		{"PowerDenyWindow", p.PowerDenyWindow},
+		{"HolderStallTicks", p.HolderStallTicks},
+	} {
+		if f.v > maxTicks {
+			return fmt.Errorf("fault: %s=%d above %d ticks", f.name, f.v, maxTicks)
+		}
 	}
 	if p.PowerDenyWindow > 0 && p.PowerDenyPeriod > 0 && p.PowerDenyWindow >= p.PowerDenyPeriod {
 		return fmt.Errorf("fault: PowerDenyWindow=%d >= PowerDenyPeriod=%d (token never grantable)",

@@ -3,6 +3,8 @@ package fault
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestPresetsValidate asserts every named preset passes its own validation —
@@ -154,5 +156,30 @@ func TestEmptyPlan(t *testing.T) {
 	}
 	if !off.Empty() {
 		t.Error(`preset "off" is not empty`)
+	}
+}
+
+// TestValidateCapsTicks: every tick-valued field is accepted at maxTicks
+// and rejected one tick above it. A plan decoded from the farm wire must
+// not wrap a latency or panic a delay draw.
+func TestValidateCapsTicks(t *testing.T) {
+	for name, set := range map[string]func(p *Plan, v sim.Tick){
+		"EventDelayMax":        func(p *Plan, v sim.Tick) { p.EventDelayRate, p.EventDelayMax = 1, v },
+		"StallTicks":           func(p *Plan, v sim.Tick) { p.StallRate, p.StallTicks = 1, v },
+		"LockStallTicks":       func(p *Plan, v sim.Tick) { p.LockStallRate, p.LockStallTicks = 1, v },
+		"LockedLineDelayTicks": func(p *Plan, v sim.Tick) { p.LockedLineDelayRate, p.LockedLineDelayTicks = 1, v },
+		"PowerDenyPeriod":      func(p *Plan, v sim.Tick) { p.PowerDenyPeriod, p.PowerDenyWindow = v, 1 },
+		"PowerDenyWindow":      func(p *Plan, v sim.Tick) { p.PowerDenyWindow = v },
+		"HolderStallTicks":     func(p *Plan, v sim.Tick) { p.HolderStallRate, p.HolderStallTicks = 1, v },
+	} {
+		var at, above Plan
+		set(&at, maxTicks)
+		set(&above, maxTicks+1)
+		if err := at.Validate(); err != nil {
+			t.Errorf("%s = %d rejected: %v", name, maxTicks, err)
+		}
+		if err := above.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = %d: got %v, want an error naming the field", name, maxTicks+1, err)
+		}
 	}
 }

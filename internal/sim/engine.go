@@ -15,11 +15,14 @@
 //     delays) go to a ring of per-tick FIFO buckets ("fast lane") and never
 //     touch the heap. Appending to a bucket reuses its backing array.
 //   - Far-future events go to a monomorphic binary min-heap of
-//     scheduledEvent values: no container/heap, no interface boxing, no
+//     heapEvent values: no container/heap, no interface boxing, no
 //     per-push allocation.
-//   - Popped slots (heap and lane) are zeroed so retired event closures
-//     become garbage immediately instead of being retained by backing
-//     arrays.
+//   - Queued events hold no pointers. Each callback is registered once
+//     (Register) and an Event is its handle in the engine's table, so a
+//     lane entry is one word, sequence number above handle, with the tick
+//     implied by its bucket, and a heap entry adds the tick. The collector
+//     never scans the queue, appends take no write barrier, and drained
+//     slots need no clearing.
 //   - A waiter that re-polls a condition only a Wake can make true (a core
 //     spinning on the fallback lock) is a parked poll, not an event: one
 //     record per slot plus a 256-bucket calendar of slot masks that mirrors
@@ -39,24 +42,39 @@ import (
 // Tick is the simulated clock, measured in core cycles.
 type Tick uint64
 
-// Event is a callback scheduled to run at a specific tick. Callers on hot
-// paths should pass pre-bound function values (method values created once,
-// not per call) so scheduling does not allocate.
-type Event func()
+// Event is the handle Register returns for a callback; Schedule and Park
+// queue the handle, and the engine calls the callback when it is due.
+// Handles belong to the engine that issued them.
+type Event uint16
 
-type scheduledEvent struct {
-	at   Tick
-	seq  uint64
-	call Event
+// A queued event is one word, key = seq<<handleBits | handle. Sequence
+// numbers are unique, so comparing two keys compares their sequence
+// numbers.
+const (
+	handleBits = 16
+	// maxCalls bounds the callback table. The all-ones handle is never
+	// issued, so no key equals noKey.
+	maxCalls = 1<<handleBits - 1
+	// maxSeq is the largest sequence number a key can carry.
+	maxSeq = 1<<(64-handleBits) - 1
+)
+
+// noKey sorts after every key.
+const noKey = ^uint64(0)
+
+// heapEvent is a far-future event: its tick and its key.
+type heapEvent struct {
+	at  Tick
+	key uint64
 }
 
 // less is the total event order: earlier tick first, then earlier sequence
 // number (FIFO within a tick).
-func (a scheduledEvent) less(b scheduledEvent) bool {
+func (a heapEvent) less(b heapEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.key < b.key
 }
 
 // laneTicks is the fast-lane horizon: events with delay < laneTicks are
@@ -73,16 +91,13 @@ const laneMask = laneTicks - 1
 // laneWords is the occupancy bitmap size: one bit per bucket.
 const laneWords = laneTicks / 64
 
-// laneBucket is one tick's FIFO of near-future events. head indexes the
-// next event to pop; events append at the tail in sequence order, so a
-// bucket is always sorted by seq.
+// laneBucket is one tick's FIFO of near-future event keys. head indexes
+// the next key to pop; keys append at the tail in sequence order, so a
+// bucket is always sorted.
 type laneBucket struct {
 	head int
-	evs  []scheduledEvent
+	evs  []uint64
 }
-
-// noSeq sorts after every real sequence number.
-const noSeq = ^uint64(0)
 
 // maxPollSlots bounds the slots Park accepts: the calendar keeps one bit
 // per slot in a 64-bit mask.
@@ -94,8 +109,9 @@ type WakeMask uint8
 
 // pollSlot is one parked poll: call re-checks a condition every period
 // ticks, plus Intn(period+1) ticks drawn from rng when rng is non-nil.
+// key is the poll's place in the event order while it is in the calendar.
 type pollSlot struct {
-	seq    uint64
+	key    uint64
 	period Tick
 	rng    *RNG
 	kinds  WakeMask
@@ -108,6 +124,9 @@ type Engine struct {
 	now     Tick
 	seq     uint64
 	stopped bool
+
+	// calls is the callback table; an Event indexes it.
+	calls []func()
 
 	// lane holds events with at in [now, now+laneTicks), indexed by
 	// at&laneMask; laneLen is the total number of events across buckets
@@ -129,9 +148,8 @@ type Engine struct {
 	parked  uint64
 	live    uint64
 
-	// heap is a binary min-heap (by scheduledEvent.less) of far-future
-	// events.
-	heap []scheduledEvent
+	// heap is a binary min-heap (by heapEvent.less) of far-future events.
+	heap []heapEvent
 
 	// Executed counts dispatched callbacks (a dead poll's re-arm is not
 	// one); exposed for tests and for the benchmark's event count.
@@ -151,28 +169,52 @@ func NewEngine() *Engine {
 // Now returns the current simulated tick.
 func (e *Engine) Now() Tick { return e.now }
 
+// Register adds call to the engine's callback table and returns its
+// handle. The table keeps every callback for the engine's life, so
+// register each continuation once, when its owner is built, not per
+// event; at most 65,535 fit.
+func (e *Engine) Register(call func()) Event {
+	if call == nil {
+		panic("sim: Register called with nil callback")
+	}
+	if len(e.calls) >= maxCalls {
+		panic(fmt.Sprintf("sim: more than %d callbacks registered", maxCalls))
+	}
+	e.calls = append(e.calls, call)
+	return Event(len(e.calls) - 1)
+}
+
+// key draws the next sequence number and packs it above call.
+func (e *Engine) key(call Event) uint64 {
+	e.seq++
+	if e.seq > maxSeq {
+		panic("sim: sequence numbers exhausted")
+	}
+	return e.seq<<handleBits | uint64(call)
+}
+
 // Schedule runs call after delay ticks. A delay of zero runs the event in
 // the current tick, after all events already scheduled for this tick.
 func (e *Engine) Schedule(delay Tick, call Event) {
-	if call == nil {
-		panic("sim: Schedule called with nil event")
+	if int(call) >= len(e.calls) {
+		panic("sim: Schedule called with an unregistered event")
 	}
 	if e.perturb != nil {
 		delay = e.perturb(delay)
 	}
-	e.seq++
-	ev := scheduledEvent{at: e.now + delay, seq: e.seq, call: call}
+	k := e.key(call)
+	at := e.now + delay
 	if delay < laneTicks {
-		idx := int(ev.at) & laneMask
+		idx := int(at) & laneMask
 		b := &e.lane[idx]
 		if len(b.evs) == 0 {
 			e.occ[idx>>6] |= 1 << (uint(idx) & 63)
 		}
-		b.evs = append(b.evs, ev)
+		b.evs = append(b.evs, k)
 		e.laneLen++
 		return
 	}
-	e.heapPush(ev)
+	e.heapPush(heapEvent{at: at, key: k})
 }
 
 // SetDelayPerturb installs (or, with nil, removes) a delay-perturbation
@@ -203,8 +245,8 @@ func (e *Engine) Pending() int { return e.laneLen + len(e.heap) }
 // event order; after it, the poll dispatches call once, like any event.
 // A slot holds one poll at a time; period must be at least 1.
 func (e *Engine) Park(slot int, period Tick, rng *RNG, kinds WakeMask, call Event) {
-	if call == nil {
-		panic("sim: Park called with nil event")
+	if int(call) >= len(e.calls) {
+		panic("sim: Park called with an unregistered event")
 	}
 	if slot < 0 || slot >= maxPollSlots || period < 1 {
 		panic(fmt.Sprintf("sim: Park(slot %d, period %d) out of range", slot, period))
@@ -252,12 +294,13 @@ func (e *Engine) arm(p *pollSlot, bit uint64) {
 	if delay == 0 {
 		panic("sim: delay perturbation made a parked poll due in the current batch")
 	}
-	e.seq++
+	k := e.key(p.call)
 	if delay >= laneTicks {
-		e.heapPush(scheduledEvent{at: e.now + delay, seq: e.seq, call: e.unpark(p, bit)})
+		e.unpark(p, bit)
+		e.heapPush(heapEvent{at: e.now + delay, key: k})
 		return
 	}
-	p.seq = e.seq
+	p.key = k
 	idx := int(e.now+delay) & laneMask
 	e.pollCal[idx] |= bit
 	e.occ[idx>>6] |= 1 << (uint(idx) & 63)
@@ -274,17 +317,17 @@ func (e *Engine) unpark(p *pollSlot, bit uint64) Event {
 	return call
 }
 
-// nextDue returns the slot and sequence number of the earliest poll due
-// in bucket idx, or noSeq when none is.
+// nextDue returns the slot and key of the earliest poll due in bucket
+// idx, or noKey when none is.
 func (e *Engine) nextDue(idx int) (int, uint64) {
-	slot, seq := -1, noSeq
+	slot, key := -1, noKey
 	for m := e.pollCal[idx]; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		if q := e.polls[s].seq; q < seq {
-			slot, seq = s, q
+		if k := e.polls[s].key; k < key {
+			slot, key = s, k
 		}
 	}
-	return slot, seq
+	return slot, key
 }
 
 // Stop makes the currently running Run or RunUntil call return after the
@@ -377,47 +420,44 @@ func (e *Engine) stepAt(t Tick) {
 	// Likewise no poll can join a running batch, since every Park and
 	// re-arm is at least one tick out, so the due set only shrinks.
 	heapSame := len(e.heap) > 0 && e.heap[0].at == t
-	ps, pseq := e.nextDue(idx)
+	ps, pkey := e.nextDue(idx)
 	for {
-		lseq, hseq := noSeq, noSeq
+		lkey, hkey := noKey, noKey
 		if b.head < len(b.evs) {
-			lseq = b.evs[b.head].seq
+			lkey = b.evs[b.head]
 		}
 		if heapSame {
-			hseq = e.heap[0].seq
+			hkey = e.heap[0].key
 		}
 		var call Event
-		if pseq < lseq && pseq < hseq {
+		if pkey < lkey && pkey < hkey {
 			bit := uint64(1) << uint(ps)
 			e.pollCal[idx] &^= bit
 			p := &e.polls[ps]
 			if e.live&bit == 0 {
 				e.arm(p, bit)
-				ps, pseq = e.nextDue(idx)
+				ps, pkey = e.nextDue(idx)
 				continue
 			}
 			call = e.unpark(p, bit)
-			ps, pseq = e.nextDue(idx)
-		} else if lseq < hseq {
-			call = b.evs[b.head].call
+			ps, pkey = e.nextDue(idx)
+		} else if lkey < hkey {
+			call = Event(lkey)
 			b.head++
 			if b.head == len(b.evs) {
-				// Drained: zero the consumed slots in one bulk clear so
-				// retired closures become garbage, then rewind, keeping
-				// the backing array for reuse.
-				clear(b.evs)
+				// Drained: rewind, keeping the backing array for reuse.
 				b.evs = b.evs[:0]
 				b.head = 0
 			}
 			e.laneLen--
 		} else if heapSame {
-			call = e.heapPop().call
+			call = Event(e.heapPop().key)
 			heapSame = len(e.heap) > 0 && e.heap[0].at == t
 		} else {
 			break
 		}
 		e.Executed++
-		call()
+		e.calls[call]()
 		if e.stopped {
 			break
 		}
@@ -453,7 +493,7 @@ func (e *Engine) RunUntil(deadline Tick) bool {
 }
 
 // heapPush inserts ev into the far-future heap (monomorphic sift-up).
-func (e *Engine) heapPush(ev scheduledEvent) {
+func (e *Engine) heapPush(ev heapEvent) {
 	h := append(e.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -467,15 +507,12 @@ func (e *Engine) heapPush(ev scheduledEvent) {
 	e.heap = h
 }
 
-// heapPop removes the minimum event (monomorphic sift-down). The vacated
-// tail slot is zeroed so the popped event's closure is not retained by the
-// backing array.
-func (e *Engine) heapPop() scheduledEvent {
+// heapPop removes the minimum event (monomorphic sift-down).
+func (e *Engine) heapPop() heapEvent {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = scheduledEvent{}
 	h = h[:n]
 	i := 0
 	for {

@@ -14,14 +14,14 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 	b.ResetTimer()
 	e := NewEngine()
 	n := 0
-	var pump func()
-	pump = func() {
+	var pump Event
+	pump = e.Register(func() {
 		if n >= b.N {
 			return
 		}
 		e.Schedule(delays[n&7], pump)
 		n++
-	}
+	})
 	// Standing population: a few pumps in flight at once.
 	for i := 0; i < 4 && i < b.N; i++ {
 		e.Schedule(delays[i&7], pump)
@@ -37,14 +37,14 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 	b.ResetTimer()
 	e := NewEngine()
 	n := 0
-	var pump func()
-	pump = func() {
+	var pump Event
+	pump = e.Register(func() {
 		if n >= b.N {
 			return
 		}
 		e.Schedule(1000+Tick(n&127), pump)
 		n++
-	}
+	})
 	for i := 0; i < 4 && i < b.N; i++ {
 		e.Schedule(1000+Tick(i), pump)
 		n++
@@ -60,18 +60,19 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 func BenchmarkEngineParkedPoll(b *testing.B) {
 	e := NewEngine()
 	rng := NewRNG(1)
+	dead := e.Register(func() { panic("dead poll dispatched") })
 	for s := 0; s < 31; s++ {
-		e.Park(s, 40, rng, 1, func() { panic("dead poll dispatched") })
+		e.Park(s, 40, rng, 1, dead)
 	}
 	n, limit := 0, 0
 	var pump Event
-	pump = func() {
+	pump = e.Register(func() {
 		if n++; n < limit {
 			e.Schedule(Tick(46+n&7), pump)
 		} else {
 			e.Stop()
 		}
-	}
+	})
 	// Warm up, so every lane bucket the stream lands in has its backing
 	// array before the timer starts.
 	limit = 4 * laneTicks

@@ -1,91 +1,129 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-// TestHeapPopReleasesEvents checks the latent-retention fix in the far-future
-// heap: popping must zero the vacated tail slot so the retired event's
-// closure is not kept reachable by the backing array. Before the fix,
-// `h = h[:n-1]` left the moved element's old copy (and its captured state)
-// live in h[n-1] for as long as the engine existed.
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
+}
+
+// TestHeapPopReleasesEvents: a drained far-future heap keeps no retired
+// event reachable. A heap record is a tick and a key word with no
+// pointer, so a pop just shrinks the slice and a vacated slot past len()
+// can hold nothing the collector would follow. The walk is checked on
+// types that do hold a pointer, the old func-carrying record among them.
 func TestHeapPopReleasesEvents(t *testing.T) {
 	e := NewEngine()
+	ran := 0
+	inc := e.Register(func() { ran++ })
 	// All delays >= laneTicks so every event goes through the heap.
 	for i := 0; i < 100; i++ {
-		e.Schedule(Tick(laneTicks+i), func() {})
+		e.Schedule(Tick(laneTicks+i), inc)
+	}
+	if len(e.heap) != 100 {
+		t.Fatalf("heap holds %d events, want 100", len(e.heap))
 	}
 	for e.Step() {
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", e.Pending())
+	if ran != 100 || e.Pending() != 0 {
+		t.Fatalf("ran %d events with %d pending, want 100 and 0", ran, e.Pending())
 	}
-	// Inspect the heap's full backing array, including slots past len().
-	full := e.heap[:cap(e.heap)]
-	for i, ev := range full {
-		if ev.call != nil {
-			t.Fatalf("heap backing slot %d still retains an event closure after drain", i)
+	if typ := reflect.TypeOf(e.heap).Elem(); hasPointers(typ) {
+		t.Fatalf("heap record %v holds a pointer", typ)
+	}
+	type funcRecord struct {
+		at   Tick
+		seq  uint64
+		call func()
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(funcRecord{}),
+		reflect.TypeOf([2]*int{}),
+		reflect.TypeOf(struct{ s []uint64 }{}),
+		reflect.TypeOf(""),
+	} {
+		if !hasPointers(typ) {
+			t.Errorf("walk missed the pointer in %v", typ)
 		}
 	}
 }
 
 // TestLanePopReleasesEvents checks the same property for the fast-lane
-// buckets: consumed slots are bulk-cleared when a bucket drains and rewinds,
-// so no retired closure stays reachable through a bucket's backing array.
+// buckets: a bucket entry is one key word, so a drained bucket just
+// rewinds and its backing array holds nothing the collector would follow.
 func TestLanePopReleasesEvents(t *testing.T) {
 	e := NewEngine()
+	ran := 0
+	inc := e.Register(func() { ran++ })
 	for i := 0; i < 4*laneTicks; i++ {
-		e.Schedule(Tick(i%laneTicks), func() {})
+		e.Schedule(Tick(i%laneTicks), inc)
 	}
 	for e.Step() {
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", e.Pending())
+	if ran != 4*laneTicks || e.Pending() != 0 {
+		t.Fatalf("ran %d events with %d pending, want %d and 0", ran, e.Pending(), 4*laneTicks)
 	}
 	for b := range e.lane {
 		bucket := &e.lane[b]
-		full := bucket.evs[:cap(bucket.evs)]
-		for i, ev := range full {
-			if ev.call != nil {
-				t.Fatalf("lane bucket %d slot %d still retains an event closure after drain", b, i)
-			}
+		if bucket.head != 0 || len(bucket.evs) != 0 {
+			t.Fatalf("bucket %d not rewound after drain: head=%d len=%d", b, bucket.head, len(bucket.evs))
 		}
+	}
+	if typ := reflect.TypeOf(e.lane[0].evs).Elem(); hasPointers(typ) {
+		t.Fatalf("lane word %v holds a pointer", typ)
 	}
 }
 
-// holdingRef builds an event whose closure keeps p reachable for as long as
-// the closure itself is reachable (the parameter gives the closure its own
-// capture cell, independent of the caller's variable).
-func holdingRef(p *[1 << 16]byte) Event {
-	return func() {
-		if p == nil {
-			panic("payload vanished before the event ran")
-		}
-	}
-}
-
-// TestRetiredEventsAreCollectable is the end-to-end GC check: an event
-// closure capturing a finalized allocation must become collectable once the
-// event has run, even though the engine (with its retained backing arrays)
-// lives on.
+// TestRetiredEventsAreCollectable is the end-to-end GC check: state an
+// event hands its callback must become collectable once the event has
+// run, even though the engine (with its callback table and retained
+// backing arrays) lives on. Per-event state lives in the owner's slot, as
+// a core's pending operation does; the engine must keep no copy of it.
 func TestRetiredEventsAreCollectable(t *testing.T) {
 	e := NewEngine()
 	collected := make(chan struct{})
-	// Schedule enough sibling events that the captured payload's slot is an
-	// interior element of both the heap and a lane bucket at some point.
+	nop := e.Register(func() {})
+	// Schedule enough sibling events that the payload's event is an
+	// interior element of the heap and shares the lane with others.
 	for i := 0; i < 32; i++ {
-		e.Schedule(Tick(i), func() {})
-		e.Schedule(Tick(laneTicks+i), func() {})
+		e.Schedule(Tick(i), nop)
+		e.Schedule(Tick(laneTicks+i), nop)
 	}
+	var slot *[1 << 16]byte
+	take := e.Register(func() {
+		if slot == nil {
+			panic("payload vanished before the event ran")
+		}
+		slot = nil
+	})
 	payload := new([1 << 16]byte)
 	runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(collected) })
-	e.Schedule(laneTicks+5, holdingRef(payload))
+	slot = payload
 	payload = nil
+	e.Schedule(laneTicks+5, take)
 	for e.Step() {
 	}
-	// The engine is still alive (and referenced below); only the retired
-	// closure should keep the payload, and it must not.
+	// The engine is still alive (and referenced below); only the slot
+	// kept the payload, and the event has cleared it.
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		select {
@@ -97,81 +135,5 @@ func TestRetiredEventsAreCollectable(t *testing.T) {
 		default:
 		}
 	}
-	t.Fatal("retired event closure still reachable: engine retains executed events")
-}
-
-// TestLaneBucketWrapAroundDrain exercises the batched bucket drain across a
-// full lane revolution: bucket index (t & laneMask) serves tick t and then
-// tick t+laneTicks, with a far-future heap event landing exactly on the
-// wrapped tick. The (tick, seq) total order must hold throughout — the heap
-// event, scheduled first, carries the lowest sequence number at the wrapped
-// tick and must interleave ahead of the lane events that arrive later — and
-// every bucket must release its slots once drained.
-func TestLaneBucketWrapAroundDrain(t *testing.T) {
-	e := NewEngine()
-	type rec struct {
-		at  Tick
-		tag int
-	}
-	var got []rec
-	note := func(tag int) Event {
-		return func() { got = append(got, rec{e.Now(), tag}) }
-	}
-
-	const base = 7
-	const wrapped = Tick(base + laneTicks) // same bucket index as base
-
-	// Delay >= laneTicks routes through the heap; this event lands on the
-	// wrapped tick with the lowest seq there.
-	e.Schedule(wrapped, note(100))
-
-	// A FIFO batch at tick base fills bucket index base the first time.
-	for i := 0; i < 3; i++ {
-		e.Schedule(base, note(i))
-	}
-	// Refill the same bucket one lane revolution later: a callback at
-	// base+laneTicks-1 schedules delay 1, landing at base+laneTicks — bucket
-	// index base again, now holding the wrapped tick.
-	e.Schedule(base, func() {
-		e.Schedule(laneTicks-1, func() {
-			got = append(got, rec{e.Now(), 50})
-			for i := 0; i < 3; i++ {
-				e.Schedule(1, note(200+i))
-			}
-		})
-	})
-
-	e.Run()
-
-	want := []rec{
-		{base, 0}, {base, 1}, {base, 2},
-		{base + laneTicks - 1, 50},
-		{wrapped, 100}, // heap event first: same tick, lowest seq
-		{wrapped, 200}, {wrapped, 201}, {wrapped, 202},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got {tick %d, tag %d}, want {tick %d, tag %d}\nfull order: %v",
-				i, got[i].at, got[i].tag, want[i].at, want[i].tag, got)
-		}
-	}
-
-	// After the drain every bucket is rewound and its backing array zeroed.
-	if e.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", e.Pending())
-	}
-	for b := range e.lane {
-		bucket := &e.lane[b]
-		if bucket.head != 0 || len(bucket.evs) != 0 {
-			t.Fatalf("bucket %d not rewound after drain: head=%d len=%d", b, bucket.head, len(bucket.evs))
-		}
-		for i, ev := range bucket.evs[:cap(bucket.evs)] {
-			if ev.call != nil {
-				t.Fatalf("bucket %d slot %d retains a closure after wrap-around drain", b, i)
-			}
-		}
-	}
+	t.Fatal("retired event's payload still reachable: engine retains executed events")
 }

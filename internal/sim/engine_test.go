@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -8,9 +9,9 @@ import (
 func TestEngineOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.Schedule(30, e.Register(func() { got = append(got, 3) }))
+	e.Schedule(10, e.Register(func() { got = append(got, 1) }))
+	e.Schedule(20, e.Register(func() { got = append(got, 2) }))
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("execution order %v, want [1 2 3]", got)
@@ -25,7 +26,7 @@ func TestEngineSameTickFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.Schedule(5, e.Register(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i, v := range got {
@@ -38,9 +39,8 @@ func TestEngineSameTickFIFO(t *testing.T) {
 func TestEngineZeroDelayRunsSameTick(t *testing.T) {
 	e := NewEngine()
 	var at []Tick
-	e.Schedule(7, func() {
-		e.Schedule(0, func() { at = append(at, e.Now()) })
-	})
+	inner := e.Register(func() { at = append(at, e.Now()) })
+	e.Schedule(7, e.Register(func() { e.Schedule(0, inner) }))
 	e.Run()
 	if len(at) != 1 || at[0] != 7 {
 		t.Fatalf("zero-delay event ran at %v, want [7]", at)
@@ -50,13 +50,13 @@ func TestEngineZeroDelayRunsSameTick(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0
-	var rec func()
-	rec = func() {
+	var rec Event
+	rec = e.Register(func() {
 		depth++
 		if depth < 1000 {
 			e.Schedule(1, rec)
 		}
-	}
+	})
 	e.Schedule(0, rec)
 	e.Run()
 	if depth != 1000 {
@@ -70,8 +70,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(100, func() { ran++ })
+	inc := e.Register(func() { ran++ })
+	e.Schedule(10, inc)
+	e.Schedule(100, inc)
 	if drained := e.RunUntil(50); drained {
 		t.Fatal("queue should not have drained")
 	}
@@ -92,8 +93,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
+	e.Schedule(1, e.Register(func() { ran++; e.Stop() }))
+	e.Schedule(2, e.Register(func() { ran++ }))
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("Stop did not halt the loop: ran %d", ran)
@@ -105,25 +106,70 @@ func TestEngineStop(t *testing.T) {
 
 func TestScheduleAtPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	nop := e.Register(func() {})
+	e.Schedule(10, e.Register(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ScheduleAt in the past did not panic")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
-	})
+		e.ScheduleAt(5, nop)
+	}))
 	e.Run()
 }
 
+// TestScheduleNilPanics: Schedule refuses an Event the engine never
+// issued, the handle's counterpart of a nil callback.
 func TestScheduleNilPanics(t *testing.T) {
+	for _, registered := range []int{0, 3} {
+		func() {
+			e := NewEngine()
+			for i := 0; i < registered; i++ {
+				e.Register(func() {})
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Schedule of handle %d with %d registered did not panic", registered, registered)
+				}
+			}()
+			e.Schedule(0, Event(registered))
+		}()
+	}
+}
+
+// TestKeyLimits: the largest handle and the largest sequence number still
+// pack into keys that order by sequence number and dispatch; a nil
+// callback, one callback more, or one sequence number more panics.
+func TestKeyLimits(t *testing.T) {
 	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("Schedule(nil) did not panic")
+	var ran []Event
+	for i := 0; i < maxCalls; i++ {
+		h := Event(i)
+		if got := e.Register(func() { ran = append(ran, h) }); got != h {
+			t.Fatalf("Register returned handle %d, want %d", got, h)
 		}
-	}()
-	e.Schedule(0, nil)
+	}
+	e.seq = maxSeq - 2
+	e.Schedule(5, Event(maxCalls-1))
+	e.Schedule(5, 0)
+	e.Run()
+	if want := []Event{maxCalls - 1, 0}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("ran %v, want %v", ran, want)
+	}
+	for name, fn := range map[string]func(){
+		"nil callback":  func() { e.Register(nil) },
+		"table full":    func() { e.Register(func() {}) },
+		"seq exhausted": func() { e.Schedule(1, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 // TestEnginePropertyMonotonicClock: no event ever observes a clock earlier
@@ -133,18 +179,88 @@ func TestEnginePropertyMonotonicClock(t *testing.T) {
 		e := NewEngine()
 		last := Tick(0)
 		ok := true
+		check := e.Register(func() {
+			if e.Now() < last {
+				ok = false
+			}
+			last = e.Now()
+		})
 		for _, d := range delays {
-			e.Schedule(Tick(d), func() {
-				if e.Now() < last {
-					ok = false
-				}
-				last = e.Now()
-			})
+			e.Schedule(Tick(d), check)
 		}
 		e.Run()
 		return ok && e.Pending() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLaneBucketWrapAroundDrain exercises the batched bucket drain across a
+// full lane revolution: bucket index (t & laneMask) serves tick t and then
+// tick t+laneTicks, with a far-future heap event landing exactly on the
+// wrapped tick. The (tick, seq) total order must hold throughout — the heap
+// event, scheduled first, carries the lowest sequence number at the wrapped
+// tick and must interleave ahead of the lane events that arrive later — and
+// every bucket must rewind once drained.
+func TestLaneBucketWrapAroundDrain(t *testing.T) {
+	e := NewEngine()
+	type rec struct {
+		at  Tick
+		tag int
+	}
+	var got []rec
+	note := func(tag int) Event {
+		return e.Register(func() { got = append(got, rec{e.Now(), tag}) })
+	}
+
+	const base = 7
+	const wrapped = Tick(base + laneTicks) // same bucket index as base
+
+	// Delay >= laneTicks routes through the heap; this event lands on the
+	// wrapped tick with the lowest seq there.
+	e.Schedule(wrapped, note(100))
+
+	// A FIFO batch at tick base fills bucket index base the first time.
+	for i := 0; i < 3; i++ {
+		e.Schedule(base, note(i))
+	}
+	// Refill the same bucket one lane revolution later: a callback at
+	// base+laneTicks-1 schedules delay 1, landing at base+laneTicks — bucket
+	// index base again, now holding the wrapped tick.
+	refill := e.Register(func() {
+		got = append(got, rec{e.Now(), 50})
+		for i := 0; i < 3; i++ {
+			e.Schedule(1, note(200+i))
+		}
+	})
+	e.Schedule(base, e.Register(func() { e.Schedule(laneTicks-1, refill) }))
+
+	e.Run()
+
+	want := []rec{
+		{base, 0}, {base, 1}, {base, 2},
+		{base + laneTicks - 1, 50},
+		{wrapped, 100}, // heap event first: same tick, lowest seq
+		{wrapped, 200}, {wrapped, 201}, {wrapped, 202},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: got {tick %d, tag %d}, want {tick %d, tag %d}\nfull order: %v",
+				i, got[i].at, got[i].tag, want[i].at, want[i].tag, got)
+		}
+	}
+
+	if e.Pending() != 0 {
+		t.Fatalf("queue not drained: %d pending", e.Pending())
+	}
+	for b := range e.lane {
+		bucket := &e.lane[b]
+		if bucket.head != 0 || len(bucket.evs) != 0 {
+			t.Fatalf("bucket %d not rewound after drain: head=%d len=%d", b, bucket.head, len(bucket.evs))
+		}
 	}
 }

@@ -67,8 +67,8 @@ func newLockWorld(seed uint64, parked, perturb bool, waiters int) *lockWorld {
 	}
 	for s := 0; s < waiters; s++ {
 		lw := &lockWaiter{w: w, slot: s, rng: NewRNG(seed*31 + uint64(s) + 1), jitter: s%2 == 0, rounds: 12}
-		lw.tryFn = lw.try
-		lw.relFn = lw.release
+		lw.tryFn = w.e.Register(lw.try)
+		lw.relFn = w.e.Register(lw.release)
 		w.waiters = append(w.waiters, lw)
 	}
 	return w
@@ -125,7 +125,7 @@ func (lw *lockWaiter) release() {
 // release the lock (a wake issued inside a batch), may stop the engine,
 // and spawns follow-ups with zero, near and far (heap) delays.
 func (w *lockWorld) background(id int) Event {
-	return func() {
+	return w.e.Register(func() {
 		w.nbg++
 		w.logf("bg%d", id)
 		switch r := w.driver.Intn(8); {
@@ -133,11 +133,11 @@ func (w *lockWorld) background(id int) Event {
 			w.holder = 1000 + id
 			w.logf("bg%d acquire", id)
 			hold := Tick(w.driver.Intn(120))
-			w.e.Schedule(hold, func() {
+			w.e.Schedule(hold, w.e.Register(func() {
 				w.holder = -1
 				w.logf("bg%d release", id)
 				w.e.Wake(lockKind)
-			})
+			}))
 		case r == 1:
 			w.e.Wake(lockKind) // a spurious wake is always harmless
 		}
@@ -150,7 +150,7 @@ func (w *lockWorld) background(id int) Event {
 			w.budget--
 			w.e.Schedule(delays[w.driver.Intn(len(delays))], w.background(w.budget))
 		}
-	}
+	})
 }
 
 // run drives the world in RunUntil slices and records the engine's view
@@ -245,7 +245,7 @@ func TestParkedPollMergedBySeq(t *testing.T) {
 		held := true
 		var log []string
 		var poll Event
-		poll = func() {
+		check := func() {
 			if held {
 				if parked {
 					e.Park(0, 5, nil, lockKind, poll)
@@ -256,13 +256,15 @@ func TestParkedPollMergedBySeq(t *testing.T) {
 			}
 			log = append(log, fmt.Sprintf("P acquires at %d", e.Now()))
 		}
-		e.Schedule(5, func() { // A
-			e.Schedule(5, func() { // X
-				held = false
-				e.Wake(lockKind)
-			})
+		poll = e.Register(check)
+		x := e.Register(func() {
+			held = false
+			e.Wake(lockKind)
 		})
-		poll() // parks (or re-polls) at tick 0, due at 5 after A
+		// A, at tick 5, schedules X.
+		e.Schedule(5, e.Register(func() { e.Schedule(5, x) }))
+		// P parks (or re-polls) at tick 0, due at 5 after A.
+		check()
 		e.Run()
 		if want := []string{"P acquires at 10"}; !reflect.DeepEqual(log, want) {
 			t.Fatalf("parked=%v: got %v, want %v", parked, log, want)
@@ -276,12 +278,12 @@ func TestParkedPollMergedBySeq(t *testing.T) {
 func TestParkedPollStaysPending(t *testing.T) {
 	e := NewEngine()
 	woken, ran := false, 0
-	e.Park(3, 10, NewRNG(1), lockKind, func() {
+	e.Park(3, 10, NewRNG(1), lockKind, e.Register(func() {
 		if !woken {
 			t.Fatal("dead poll dispatched")
 		}
 		ran++
-	})
+	}))
 	if drained := e.RunUntil(1000); drained {
 		t.Fatal("queue with a parked poll reported drained")
 	}
@@ -304,8 +306,9 @@ func TestParkedPollStaysPending(t *testing.T) {
 func TestParkedPollRearmAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	rng := NewRNG(7)
+	nop := e.Register(func() {})
 	for s := 0; s < maxPollSlots; s++ {
-		e.Park(s, 40, rng, lockKind, func() {})
+		e.Park(s, 40, rng, lockKind, nop)
 	}
 	e.RunUntil(1000) // settle
 	if a := testing.AllocsPerRun(10, func() { e.RunUntil(e.Now() + 1000) }); a != 0 {
@@ -314,13 +317,13 @@ func TestParkedPollRearmAllocatesNothing(t *testing.T) {
 }
 
 func TestParkMisusePanics(t *testing.T) {
-	for name, fn := range map[string]func(e *Engine){
-		"nil event":     func(e *Engine) { e.Park(0, 1, nil, lockKind, nil) },
-		"slot too high": func(e *Engine) { e.Park(maxPollSlots, 1, nil, lockKind, func() {}) },
-		"zero period":   func(e *Engine) { e.Park(0, 0, nil, lockKind, func() {}) },
-		"parked twice": func(e *Engine) {
-			e.Park(1, 5, nil, lockKind, func() {})
-			e.Park(1, 5, nil, lockKind, func() {})
+	for name, fn := range map[string]func(e *Engine, h Event){
+		"unregistered event": func(e *Engine, h Event) { e.Park(0, 1, nil, lockKind, h+1) },
+		"slot too high":      func(e *Engine, h Event) { e.Park(maxPollSlots, 1, nil, lockKind, h) },
+		"zero period":        func(e *Engine, h Event) { e.Park(0, 0, nil, lockKind, h) },
+		"parked twice": func(e *Engine, h Event) {
+			e.Park(1, 5, nil, lockKind, h)
+			e.Park(1, 5, nil, lockKind, h)
 		},
 	} {
 		func() {
@@ -329,7 +332,8 @@ func TestParkMisusePanics(t *testing.T) {
 					t.Errorf("%s: Park did not panic", name)
 				}
 			}()
-			fn(NewEngine())
+			e := NewEngine()
+			fn(e, e.Register(func() {}))
 		}()
 	}
 }
