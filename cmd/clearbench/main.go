@@ -67,7 +67,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write the matrix cells as CSV to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		serve    = flag.String("serve", "", "run as a sweep-farm server on this address (e.g. localhost:6070) instead of sweeping locally; endpoints: /jobs, /matrix, /quarantine, /farm, /metrics, /metrics.json, /debug/vars")
+		serve    = flag.String("serve", "", "run as a sweep-farm server on this address (e.g. localhost:6070) instead of sweeping locally; endpoints: /jobs, /quarantine, /farm, /metrics, /metrics.json, /debug/vars")
 		deadline = flag.Duration("run-deadline", 0, "host wall-time deadline per individual run; an exceeding run becomes an isolated failure instead of hanging the sweep (0 = none)")
 
 		benchList   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
@@ -200,15 +200,6 @@ func main() {
 		return
 	}
 
-	if *sweep {
-		sw, err := harness.RunRetrySweep(opts)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		sw.Print(os.Stdout)
-		return
-	}
-
 	// Graceful shutdown: the first SIGINT/SIGTERM stops dispatching new
 	// matrix cells (runs in flight finish) and the partial matrix is still
 	// reported — and, with -cache-dir, every completed cell is already
@@ -298,9 +289,12 @@ func main() {
 		12: func() { m.PrintFigure12(os.Stdout) },
 		13: func() { m.PrintFigure13(os.Stdout) },
 	}
-	if *fig != 0 {
+	switch {
+	case *sweep:
+		m.PrintRetrySweep(os.Stdout)
+	case *fig != 0:
 		printers[*fig]()
-	} else {
+	default:
 		if err := harness.PrintTable1(os.Stdout); err != nil {
 			cliutil.Fatal(err)
 		}
@@ -452,7 +446,7 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 		_ = srv.Shutdown(shutCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "clearbench: farm serving on http://%s (POST /matrix, GET /farm, /quarantine, /metrics, /metrics.json)\n", addr)
+	fmt.Fprintf(os.Stderr, "clearbench: farm serving on http://%s (POST /jobs, GET /jobs/{key}, /farm, /quarantine, /metrics, /metrics.json)\n", addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		cliutil.Fatal(err)
 	}

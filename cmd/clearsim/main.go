@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/harness"
+	"repro/internal/htm"
 	"repro/internal/prof"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -138,8 +139,8 @@ func printResult(r *harness.RunResult) {
 	}
 	fmt.Println()
 	fmt.Println("abort types:")
-	for b := 0; b < len(s.AbortsByBucket); b++ {
-		fmt.Printf("  %-18s %7d\n", bucketName(b), s.AbortsByBucket[b])
+	for b := htm.Bucket(0); b < htm.NumBuckets; b++ {
+		fmt.Printf("  %-18s %7d\n", b, s.AbortsByBucket[b])
 	}
 	fmt.Println()
 	fmt.Printf("discovery runs   %d   overhead %.2f%% of core-cycles\n",
@@ -171,18 +172,4 @@ func pct(n, d uint64) float64 {
 		return 0
 	}
 	return 100 * float64(n) / float64(d)
-}
-
-func bucketName(b int) string {
-	switch b {
-	case 0:
-		return "memory-conflict"
-	case 1:
-		return "explicit-fallback"
-	case 2:
-		return "other-fallback"
-	case 3:
-		return "others"
-	}
-	return "?"
 }

@@ -96,19 +96,33 @@ func TestFarmChaosCampaign(t *testing.T) {
 		Exec:    chaos.run,
 	}
 
-	// Generation A: submit the whole campaign, let part of it finish under
-	// injected panics, then kill the server cold.
+	// Generation A: submit every run of the campaign without waiting, let
+	// part of it finish under injected panics, then kill the server cold.
 	srvA := NewServer(cfg)
 	tsA := httptest.NewServer(srvA.Handler())
 	cA := NewClient(tsA.URL)
 	cA.PollInterval = time.Millisecond
-	resp, err := cA.SubmitMatrix(opts)
-	if err != nil {
-		t.Fatal(err)
+	jobs := make(map[string]bool)
+	for _, bench := range opts.Benchmarks {
+		for _, config := range opts.Configs {
+			for _, retry := range opts.RetryLimits {
+				for _, seed := range opts.Seeds {
+					st, err := cA.Submit(harness.RunParams{
+						Benchmark: bench, Config: config, Cores: opts.Cores,
+						OpsPerThread: opts.OpsPerThread, RetryLimit: retry,
+						Seed: seed, MaxTicks: opts.MaxTicks,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					jobs[st.Key] = true
+				}
+			}
+		}
 	}
-	total := len(resp.Jobs)
+	total := len(jobs)
 	if total != 16 {
-		t.Fatalf("campaign expanded to %d jobs, want 16", total)
+		t.Fatalf("campaign submitted %d distinct jobs, want 16", total)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for srvA.Stats().Done < total/3 {

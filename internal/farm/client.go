@@ -128,13 +128,6 @@ func (c *Client) Submit(p harness.RunParams) (JobStatus, error) {
 	return st, err
 }
 
-// SubmitMatrix enqueues a whole campaign.
-func (c *Client) SubmitMatrix(opts harness.MatrixOptions) (MatrixResponse, error) {
-	var resp MatrixResponse
-	err := c.do(http.MethodPost, "/matrix", opts, &resp)
-	return resp, err
-}
-
 // Status polls one job.
 func (c *Client) Status(key string) (JobStatus, error) {
 	var st JobStatus

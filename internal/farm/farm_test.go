@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -352,22 +351,22 @@ func TestFarmHTTPAndClient(t *testing.T) {
 	c.PollInterval = time.Millisecond
 	c.WaitTimeout = 5 * time.Second
 
-	resp, err := c.SubmitMatrix(harness.MatrixOptions{
-		Benchmarks:   []string{"hashmap"},
-		Configs:      []harness.ConfigID{harness.ConfigB, harness.ConfigC},
-		RetryLimits:  []int{2},
-		Seeds:        []uint64{1, 2},
-		Cores:        2,
-		OpsPerThread: 4,
-		MaxTicks:     1_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
+	jobs := make(map[string]bool)
+	for _, cfg := range []harness.ConfigID{harness.ConfigB, harness.ConfigC} {
+		for _, seed := range []uint64{1, 2} {
+			p := quickSpec(seed)
+			p.Config = cfg
+			st, err := c.Submit(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[st.Key] = true
+		}
 	}
-	if len(resp.Jobs) != 4 {
-		t.Fatalf("matrix expanded to %d jobs, want 4", len(resp.Jobs))
+	if len(jobs) != 4 {
+		t.Fatalf("4 submissions made %d distinct jobs, want 4", len(jobs))
 	}
-	for _, key := range resp.Jobs {
+	for key := range jobs {
 		fin, err := c.Wait(key)
 		if err != nil {
 			t.Fatal(err)
@@ -554,19 +553,10 @@ func TestFarmWireCompatibility(t *testing.T) {
 	}
 }
 
-// seedList renders the JSON list of seeds 1..n.
-func seedList(n int) string {
-	seeds := make([]string, n)
-	for i := range seeds {
-		seeds[i] = strconv.Itoa(i + 1)
-	}
-	return strings.Join(seeds, ",")
-}
-
 // TestFarmRejectsMalformed: every malformed submission is a 400 and
-// enqueues nothing — in particular a core count, invocation count, table
-// size or campaign size that would exhaust memory in workload setup, where
-// no recover can catch the fatal error.
+// enqueues nothing — in particular a core count, invocation count or table
+// size that would exhaust memory in workload setup, where no recover can
+// catch the fatal error.
 func TestFarmRejectsMalformed(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, Retry: fastRetry(), Exec: okExec})
 	defer srv.Close()
@@ -586,19 +576,15 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		{"/jobs", `{` + job + `,"cores":2,"benchmark":""}`},
 		{"/jobs", `{` + job + `,"cores":2,"fault_plans":{}}`},
 		{"/jobs", `{` + job},
-		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"cores":2,"ops_per_thread":4}`},
-		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2,0],"seeds":[1],"cores":2,"ops_per_thread":4}`},
 		// Each of these used to kill the server out of memory in setup.
 		{"/jobs", `{` + job + `,"cores":2,"ops_per_thread":1099511627776}`},
 		{"/jobs", `{` + job + `,"cores":4,"ops_per_thread":4611686018427387904}`},
 		{"/jobs", `{` + job + `,"cores":2,"ert_entries":1099511627776}`},
 		{"/jobs", `{` + job + `,"cores":2,"crt_entries":1099511627776,"crt_ways":1}`},
-		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"seeds":[` + seedList(65537) + `],"cores":2,"ops_per_thread":4}`},
 		// Fault magnitudes past the tick cap: the first panicked the run's
 		// delay draw, the second wrapped each stall to one tick less.
 		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"EventDelayRate":1,"EventDelayMax":9223372036854775808}}`},
 		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"StallRate":1,"StallTicks":18446744073709551615}}`},
-		{"/matrix", `{"benchmarks":["hashmap"],"configs":["C"],"retry_limits":[2],"seeds":[1],"cores":4,"ops_per_thread":8,"fault_plan":{"StallRate":1,"StallTicks":18446744073709551615}}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -5,10 +5,12 @@
 // giant memoized sweep:
 //
 //   - the wire carries the harness's own run description, with no copy of
-//     it here: harness.RunParams JSON for one job (POST /jobs) and
-//     harness.MatrixOptions JSON for a campaign (POST /matrix). Host-side
-//     fields stay off the wire; every keyed field, the fault plan and the
-//     retry policy included, travels, so client and server key a run alike;
+//     it here: harness.RunParams JSON, one job per POST /jobs, is the
+//     farm's only JSON entry point. A campaign is a client-side
+//     harness.RunMatrix whose Runner (Client.Runner) submits each seed run.
+//     Host-side fields stay off the wire; every keyed field, the fault plan
+//     and the retry policy included, travels, so client and server key a
+//     run alike;
 //   - a job's identity IS its cache key — identical specs submitted twice
 //     attach to one execution (in-flight dedup), and a server restarted over
 //     the same store resumes a campaign with only missing cells recomputed;
@@ -109,11 +111,6 @@ type JobStatus struct {
 	Retryable bool `json:"retryable,omitempty"`
 	// BackoffMS is the delay before the next attempt (backoff state only).
 	BackoffMS int64 `json:"backoff_ms,omitempty"`
-}
-
-// MatrixResponse acknowledges a matrix submission.
-type MatrixResponse struct {
-	Jobs []string `json:"jobs"` // job keys, expansion order
 }
 
 // Stats is the farm-wide counter snapshot served at /farm.

@@ -131,18 +131,12 @@ func NewServer(cfg Config) *Server {
 // Submit validates and accepts one run. An identical run already known to
 // the farm — queued, running, backing off, or terminal — attaches to the
 // existing job (in-flight dedup) whatever the drain state; genuinely new
-// work is rejected with ErrDraining once a drain has begun.
+// work is rejected with ErrDraining once a drain has begun. The server's
+// job deadline and metrics registry replace the submitter's.
 func (s *Server) Submit(p harness.RunParams) (JobStatus, error) {
 	if err := validate(p); err != nil {
 		return JobStatus{}, err
 	}
-	return s.enqueue(p)
-}
-
-// enqueue keys a validated run and attaches it to its job, creating and
-// queueing the job if the key is new. The server's job deadline and metrics
-// registry replace the submitter's.
-func (s *Server) enqueue(p harness.RunParams) (JobStatus, error) {
 	p.Deadline = s.cfg.JobDeadline
 	p.Metrics = s.cfg.Metrics
 	key := p.Spec().Key()
@@ -166,44 +160,6 @@ func (s *Server) enqueue(p harness.RunParams) (JobStatus, error) {
 	s.queue = append(s.queue, j)
 	s.cond.Signal()
 	return j.statusLocked(), nil
-}
-
-// maxMatrixRuns caps the runs one /matrix campaign expands to; the full
-// paper matrix is 912.
-const maxMatrixRuns = 1 << 16
-
-// SubmitMatrix expands a campaign through MatrixOptions.Runs — the
-// expansion RunMatrix dispatches — validates every run, and only then
-// enqueues them, so a bad cell enqueues nothing. A campaign of more than
-// maxMatrixRuns runs is refused before it is expanded. The response lists
-// the job keys in expansion order.
-func (s *Server) SubmitMatrix(opts harness.MatrixOptions) (MatrixResponse, error) {
-	n := 1
-	for _, axis := range []int{len(opts.Benchmarks), len(opts.Configs), len(opts.RetryLimits), len(opts.Seeds)} {
-		if axis == 0 {
-			return MatrixResponse{}, errors.New("farm: matrix request needs benchmarks, configs, retry_limits and seeds")
-		}
-		if n > maxMatrixRuns/axis {
-			return MatrixResponse{}, fmt.Errorf("farm: matrix request expands to more than %d runs", maxMatrixRuns)
-		}
-		n *= axis
-	}
-	runs := opts.Runs()
-	for _, p := range runs {
-		if err := validate(p); err != nil {
-			return MatrixResponse{}, fmt.Errorf("farm: matrix cell %s/%s retry=%d seed=%d: %w",
-				p.Benchmark, p.Config, p.RetryLimit, p.Seed, err)
-		}
-	}
-	resp := MatrixResponse{Jobs: make([]string, 0, len(runs))}
-	for _, p := range runs {
-		st, err := s.enqueue(p)
-		if err != nil {
-			return MatrixResponse{}, err
-		}
-		resp.Jobs = append(resp.Jobs, st.Key)
-	}
-	return resp, nil
 }
 
 // Status returns the current status of the job keyed key.
@@ -466,7 +422,6 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 //
 //	POST /jobs        submit one harness.RunParams -> JobStatus (503 while draining)
 //	GET  /jobs/{key}  poll one job -> JobStatus
-//	POST /matrix      submit a harness.MatrixOptions -> MatrixResponse
 //	GET  /quarantine  quarantined specs -> []JobStatus
 //	GET  /farm        farm-wide counters -> Stats
 //	GET  /healthz     "ok" (or "draining")
@@ -482,11 +437,14 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		st, err := s.Submit(p)
-		if err != nil {
-			httpSubmitError(w, err)
-			return
+		switch {
+		case errors.Is(err, ErrDraining):
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			writeJSON(w, st)
 		}
-		writeJSON(w, st)
 	})
 	mux.HandleFunc("GET /jobs/{key}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := s.Status(r.PathValue("key"))
@@ -495,19 +453,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, st)
-	})
-	mux.HandleFunc("POST /matrix", func(w http.ResponseWriter, r *http.Request) {
-		var opts harness.MatrixOptions
-		if err := decodeBody(r, &opts); err != nil {
-			http.Error(w, "farm: bad matrix request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := s.SubmitMatrix(opts)
-		if err != nil {
-			httpSubmitError(w, err)
-			return
-		}
-		writeJSON(w, resp)
 	})
 	mux.HandleFunc("GET /quarantine", func(w http.ResponseWriter, r *http.Request) {
 		q := s.Quarantine()
@@ -542,14 +487,6 @@ func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-func httpSubmitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrDraining) {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

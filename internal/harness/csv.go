@@ -66,12 +66,13 @@ func (m *Matrix) WriteCSV(w io.Writer) error {
 }
 
 // WriteFailuresCSV emits the sweep's isolated run failures, one row per
-// failed (benchmark, config, retry, seed) run, so a hardened matrix leaves
-// an auditable record instead of a crashed process.
+// failed (benchmark, config, retry, seed) run with its canonical policy
+// last, so a hardened matrix leaves an auditable record instead of a
+// crashed process.
 func (m *Matrix) WriteFailuresCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"benchmark", "config", "retry_limit", "seed", "reason",
+		"benchmark", "config", "retry_limit", "seed", "reason", "policy",
 	}); err != nil {
 		return err
 	}
@@ -82,6 +83,7 @@ func (m *Matrix) WriteFailuresCSV(w io.Writer) error {
 			fmt.Sprintf("%d", fl.RetryLimit),
 			fmt.Sprintf("%d", fl.Seed),
 			fl.Reason,
+			fl.Policy.Canonical(),
 		}); err != nil {
 			return err
 		}

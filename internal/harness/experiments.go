@@ -269,3 +269,40 @@ func (m *Matrix) PrintFigure13(w io.Writer) {
 	}
 	tw.Flush()
 }
+
+// PrintRetrySweep renders the retry-limit design-space exploration the
+// matrix ran to pick each cell's limit: one row per (benchmark, config), the
+// mean cycles of every retry limit, and a star on the limit Cells kept
+// (betterAggregate breaks ties towards the lowest). A limit whose every seed
+// failed shows "-"; a row with no surviving limit is left out.
+func (m *Matrix) PrintRetrySweep(w io.Writer) {
+	fmt.Fprintln(w, "Retry-limit design-space exploration (mean cycles; * = selected)")
+	tw := newTab(w)
+	fmt.Fprint(tw, "Benchmark\tcfg")
+	for _, r := range m.Opts.RetryLimits {
+		fmt.Fprintf(tw, "\tretry %d", r)
+	}
+	fmt.Fprintln(tw)
+	for _, b := range m.Opts.Benchmarks {
+		for _, c := range m.Opts.Configs {
+			best := m.Cell(b, c)
+			if best == nil {
+				continue
+			}
+			fmt.Fprintf(tw, "%s\t%s", b, c)
+			for _, r := range m.Opts.RetryLimits {
+				cell := m.ran[cellKey{b, c, r}]
+				switch {
+				case cell == nil:
+					fmt.Fprint(tw, "\t-")
+				case r == best.BestRetryLimit:
+					fmt.Fprintf(tw, "\t%.0f*", cell.Cycles)
+				default:
+					fmt.Fprintf(tw, "\t%.0f", cell.Cycles)
+				}
+			}
+			fmt.Fprintln(tw)
+		}
+	}
+	tw.Flush()
+}

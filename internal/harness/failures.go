@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"runtime/debug"
+
+	"repro/internal/policy"
 )
 
 // RunFailure is the structured record of one failed configuration run: the
@@ -13,6 +15,8 @@ type RunFailure struct {
 	Config     ConfigID
 	RetryLimit int
 	Seed       uint64
+	// Policy is the retry policy the run ran under (zero = the default).
+	Policy policy.Spec
 	// Reason is the human-readable failure cause (error text, oracle
 	// verdict, or panic value).
 	Reason string
@@ -21,9 +25,15 @@ type RunFailure struct {
 	Stack string
 }
 
+// String names the failed run and its reason; the policy is named only when
+// it is not the default, so default-policy lines read as they always have.
 func (f *RunFailure) String() string {
-	return fmt.Sprintf("%s/%s retry=%d seed=%d: %s",
-		f.Benchmark, f.Config, f.RetryLimit, f.Seed, f.Reason)
+	pol := ""
+	if !f.Policy.IsDefault() {
+		pol = " policy=" + f.Policy.Canonical()
+	}
+	return fmt.Sprintf("%s/%s retry=%d seed=%d%s: %s",
+		f.Benchmark, f.Config, f.RetryLimit, f.Seed, pol, f.Reason)
 }
 
 // Failure returns the record of p failing for reason: the one place a
@@ -34,6 +44,7 @@ func (p RunParams) Failure(reason string) *RunFailure {
 		Config:     p.Config,
 		RetryLimit: p.RetryLimit,
 		Seed:       p.Seed,
+		Policy:     p.Policy,
 		Reason:     reason,
 	}
 }

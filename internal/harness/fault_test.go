@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -335,5 +339,40 @@ func TestMatrixRunCheckedErrorPath(t *testing.T) {
 	}
 	if fail.Benchmark != "no-such-benchmark" || fail.Seed != p.Seed {
 		t.Fatalf("failure record mislabeled: %+v", fail)
+	}
+}
+
+// TestRunFailureNamesPolicy: failures of one run that differ only in policy
+// render differently, in the listing and in the failures CSV, while a
+// default-policy failure reads as it always has.
+func TestRunFailureNamesPolicy(t *testing.T) {
+	p := faultTestParams("hashmap", ConfigC)
+	def := p.Failure("boom")
+	var err error
+	if p.Policy, err = policy.Parse("ewma"); err != nil {
+		t.Fatal(err)
+	}
+	ewma := p.Failure("boom")
+	if want := fmt.Sprintf("hashmap/C retry=%d seed=7: boom", p.RetryLimit); def.String() != want {
+		t.Fatalf("default-policy failure renders %q, want %q", def.String(), want)
+	}
+	if ewma.String() == def.String() || !strings.Contains(ewma.String(), "policy="+p.Policy.Canonical()) {
+		t.Fatalf("ewma failure renders %q, want its policy named", ewma.String())
+	}
+	m := &Matrix{Failures: []RunFailure{*def, *ewma}}
+	var buf bytes.Buffer
+	if err := m.WriteFailuresCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []string
+	for _, row := range rows {
+		last = append(last, row[len(row)-1])
+	}
+	if want := []string{"policy", "clear", p.Policy.Canonical()}; !slices.Equal(last, want) {
+		t.Fatalf("failures CSV's last column is %q, want %q", last, want)
 	}
 }

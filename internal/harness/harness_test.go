@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -185,16 +186,20 @@ func TestRetrySweep(t *testing.T) {
 	opts.Cores = 4
 	opts.OpsPerThread = 20
 	opts.RetryLimits = []int{1, 4}
-	sw, err := RunRetrySweep(opts)
+	m, err := RunMatrix(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, cycles := sw.Best("mwobject", ConfigC)
+	cell := m.Cell("mwobject", ConfigC)
+	if cell == nil {
+		t.Fatal("no mwobject/C cell")
+	}
+	best, cycles := cell.BestRetryLimit, cell.Cycles
 	if cycles <= 0 || (best != 1 && best != 4) {
 		t.Fatalf("best = %d at %v cycles", best, cycles)
 	}
 	var buf bytes.Buffer
-	sw.Print(&buf)
+	m.PrintRetrySweep(&buf)
 	if !strings.Contains(buf.String(), "mwobject") || !strings.Contains(buf.String(), "*") {
 		t.Fatal("sweep output incomplete")
 	}
@@ -284,5 +289,41 @@ func TestConfigMRuns(t *testing.T) {
 	// arrayswap's ARs are fully static: no aborts under config M.
 	if res.Stats.Aborts != 0 {
 		t.Fatalf("%d aborts under static locking", res.Stats.Aborts)
+	}
+}
+
+// TestRetrySweepTable: the sweep table stars the limit the best-of selection
+// kept, the lowest of two tied limits, and marks a limit whose every seed
+// failed. The fake runner lets results arrive in any order.
+func TestRetrySweepTable(t *testing.T) {
+	cycles := map[int]sim.Tick{1: 300, 2: 200, 4: 200}
+	opts := MatrixOptions{
+		Benchmarks:  []string{"hashmap"},
+		Configs:     []ConfigID{ConfigC},
+		Seeds:       []uint64{1},
+		RetryLimits: []int{1, 2, 4, 8},
+		Parallelism: 4,
+		Runner: func(p RunParams) (*RunResult, *RunFailure, bool) {
+			if p.RetryLimit == 8 {
+				return nil, p.Failure("injected"), false
+			}
+			return &RunResult{Params: p, Stats: &stats.Run{Cycles: cycles[p.RetryLimit], Commits: 1}}, nil, false
+		},
+	}
+	m, err := RunMatrix(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Failures) != 1 {
+		t.Fatalf("%d failures, want the retry-8 cell's one", len(m.Failures))
+	}
+	var buf bytes.Buffer
+	m.PrintRetrySweep(&buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("sweep table has %d lines, want title, header and one row:\n%s", len(lines), buf.String())
+	}
+	if got, want := strings.Join(strings.Fields(lines[2]), " "), "hashmap C 300 200* 200 -"; got != want {
+		t.Fatalf("sweep row %q, want %q", got, want)
 	}
 }

@@ -16,44 +16,43 @@ import (
 
 // MatrixOptions configures a full evaluation sweep: every benchmark under
 // every configuration, with the paper's per-application retry-limit
-// exploration and multi-seed repetition. It is also the farm's wire form of
-// a campaign: host-side fields are `json:"-"`.
+// exploration and multi-seed repetition. RunMatrix is the only code that
+// expands and drives it.
 type MatrixOptions struct {
-	Benchmarks   []string   `json:"benchmarks"`
-	Configs      []ConfigID `json:"configs"`
-	Cores        int        `json:"cores"`
-	OpsPerThread int        `json:"ops_per_thread"`
-	Seeds        []uint64   `json:"seeds"`
+	Benchmarks   []string
+	Configs      []ConfigID
+	Cores        int
+	OpsPerThread int
+	Seeds        []uint64
 	// RetryLimits is the design-space sweep; the best-performing limit is
 	// selected per (benchmark, config), like the paper's "best of 1 to 10".
-	RetryLimits []int    `json:"retry_limits"`
-	MaxTicks    sim.Tick `json:"max_ticks,omitempty"`
+	RetryLimits []int
+	MaxTicks    sim.Tick
 	// Parallelism bounds concurrent simulations (host goroutines).
-	Parallelism int `json:"-"`
+	Parallelism int
 	// Ablation switches, applied to every run.
-	DisableDiscoveryContinuation bool `json:"disable_discovery_continuation,omitempty"`
-	SCLLockAllReads              bool `json:"scl_lock_all_reads,omitempty"`
+	DisableDiscoveryContinuation bool
+	SCLLockAllReads              bool
 	// Policy is the retry policy every cell runs under (zero value = the
 	// paper-exact default). The matrix is single-policy by design; the
 	// policy-frontier sweep (RunFrontier) loops RunMatrix per policy so
 	// cache keys and cell CSVs stay comparable within one matrix.
-	Policy policy.Spec `json:"policy"`
+	Policy policy.Spec
 	// FaultPlan, when non-nil, is attached to every run of the sweep — the
 	// "under faults" half of a policy-frontier comparison.
-	FaultPlan *fault.Plan `json:"fault_plan,omitempty"`
+	FaultPlan *fault.Plan
 	// Metrics, when non-nil, is attached to every run of the sweep; the
 	// registry's series are all atomics, so one registry aggregates across
-	// the parallel workers (the -serve /metrics endpoint feeds from it).
-	// Cache hits skip simulation and therefore contribute nothing here.
-	Metrics *metrics.Registry `json:"-"`
+	// the parallel workers. Cache hits skip simulation and therefore contribute nothing here.
+	Metrics *metrics.Registry
 	// RunDeadline bounds the host wall time of every individual run; zero
 	// means unbounded. A run exceeding it becomes a RunFailure instead of
 	// hanging the sweep.
-	RunDeadline time.Duration `json:"-"`
+	RunDeadline time.Duration
 	// Cancel, when non-nil and closed, stops dispatching new cells (runs in
-	// flight finish); the partial matrix is returned. The -serve signal
-	// handler uses it for graceful shutdown.
-	Cancel <-chan struct{} `json:"-"`
+	// flight finish); the partial matrix is returned. clearbench's SIGINT
+	// handler uses it to report a partial sweep.
+	Cancel <-chan struct{}
 	// Store, when non-nil, is the content-addressed run cache
 	// (internal/runstore): every seed run consults it before simulating and
 	// persists its summary afterwards. Because cell results are pure
@@ -63,14 +62,14 @@ type MatrixOptions struct {
 	// parallel workers: the local sharded directory or the in-memory Mem.
 	// Leave nil when Runner is set (the runner owns execution, including
 	// any caching).
-	Store runstore.Backend `json:"-"`
+	Store runstore.Backend
 	// Runner, when non-nil, replaces the local execute-one-run path
 	// (RunCheckedCached against Store) for every seed run of the sweep. The
 	// farm client plugs in here: the same aggregation, best-of selection,
 	// and CSV code runs over results produced anywhere, which is what makes
 	// a remote sweep byte-identical to a local one. Must be safe for
 	// concurrent calls from the parallel workers.
-	Runner RunnerFunc `json:"-"`
+	Runner RunnerFunc
 }
 
 // cellKey names one (benchmark, config, retry-limit) cell of a sweep; the
@@ -115,18 +114,6 @@ func (o MatrixOptions) run(k cellKey, seed uint64) RunParams {
 	}
 }
 
-// Runs expands the sweep into its seed runs in RunMatrix's order: each
-// cell's seeds in turn. The farm enqueues a /matrix campaign this way.
-func (o MatrixOptions) Runs() []RunParams {
-	var runs []RunParams
-	for _, k := range o.cellKeys() {
-		for _, seed := range o.Seeds {
-			runs = append(runs, o.run(k, seed))
-		}
-	}
-	return runs
-}
-
 // RunnerFunc executes one run of a sweep and reports the result, the
 // isolated failure (exactly one of the two is non-nil), and whether the
 // result was served from a cache — local or remote — rather than simulated.
@@ -159,8 +146,13 @@ func QuickMatrixOptions() MatrixOptions {
 
 // Matrix holds the aggregated cell results of a sweep.
 type Matrix struct {
-	Opts  MatrixOptions
+	Opts MatrixOptions
+	// Cells holds the best retry limit's aggregate per (benchmark, config).
 	Cells map[string]map[ConfigID]*Aggregate
+	// ran holds the aggregate of every (benchmark, config, retry-limit) cell
+	// with a surviving seed, the best-of losers included: PrintRetrySweep's
+	// table.
+	ran map[cellKey]*Aggregate
 	// Failures lists every run that crashed, deadlocked, or blew its
 	// deadline. Cells keep the aggregate over their surviving seeds; a cell
 	// whose every seed failed is absent from Cells.
@@ -194,7 +186,8 @@ func (m *Matrix) Normalized(bench string, cfg ConfigID, metric func(*Aggregate) 
 
 // RunMatrix executes the sweep with a bounded worker pool. Each
 // (benchmark, config, retry-limit) cell runs all seeds; the best retry limit
-// (lowest trimmed-mean cycles) is kept. Individual run failures (crash,
+// (lowest trimmed-mean cycles) fills Cells, and PrintRetrySweep shows every
+// limit's aggregate beside it. Individual run failures (crash,
 // deadlock, deadline) are isolated into Matrix.Failures instead of aborting
 // the sweep: the cell aggregates whatever seeds survived.
 func RunMatrix(opts MatrixOptions) (*Matrix, error) {
@@ -240,6 +233,7 @@ dispatch:
 	close(resCh)
 
 	best := make(map[string]map[ConfigID]*Aggregate)
+	ran := make(map[cellKey]*Aggregate, len(jobs))
 	var failures []RunFailure
 	var cacheHits, cacheMisses int
 	for r := range resCh {
@@ -249,6 +243,7 @@ dispatch:
 		if r.agg == nil {
 			continue
 		}
+		ran[r.key] = r.agg
 		row, ok := best[r.key.bench]
 		if !ok {
 			row = make(map[ConfigID]*Aggregate)
@@ -274,6 +269,7 @@ dispatch:
 	return &Matrix{
 		Opts:        opts,
 		Cells:       best,
+		ran:         ran,
 		Failures:    failures,
 		CacheHits:   cacheHits,
 		CacheMisses: cacheMisses,

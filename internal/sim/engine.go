@@ -386,24 +386,16 @@ func (e *Engine) nextAt() (Tick, bool) {
 // called mid-batch the remaining same-tick events stay queued; the next
 // Step resumes the same tick.
 func (e *Engine) Step() bool {
-	var t Tick
-	if e.laneLen > 0 {
-		_, t = e.nextLane()
-		if len(e.heap) > 0 && e.heap[0].at < t {
-			t = e.heap[0].at
-		}
-	} else if len(e.heap) > 0 {
-		t = e.heap[0].at
-	} else {
-		return false
+	t, ok := e.nextAt()
+	if ok {
+		e.stepAt(t)
 	}
-	e.stepAt(t)
-	return true
+	return ok
 }
 
 // stepAt drains the batch due at tick t, which the caller has already
-// located (Step via its own scan, RunUntil via nextAt — sharing the scan
-// keeps the bitmap walk off the per-batch path twice). It merges the
+// located with nextAt (RunUntil checks the tick against its deadline first;
+// passing it on keeps the bitmap walk to once per batch). It merges the
 // tick's lane bucket, the heap events landing on the same tick and the
 // parked polls due in the bucket by sequence number: a dead poll is
 // re-armed at exactly the point of the (tick, seq) order where its

@@ -80,7 +80,7 @@ func WriteEventCSV(w io.Writer, meta Meta, evs []Event) error {
 }
 
 // eventDetail renders the kind-specific fields of e as a compact
-// key=value string (shared by the CSV exporter and the dump command).
+// key=value string: the detail column of WriteEventCSV.
 func eventDetail(meta Meta, e Event) string {
 	switch e.Kind {
 	case KindInvocationStart:

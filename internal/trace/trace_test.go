@@ -248,8 +248,22 @@ func TestSampleIntervalsRejectsFarTick(t *testing.T) {
 	}
 }
 
-// makeSyntheticStream builds a small two-core stream with a lock wait.
+// makeSyntheticStream decodes syntheticTrace.
 func makeSyntheticStream(t *testing.T) (Meta, []Event) {
+	t.Helper()
+	rd, err := NewReader(bytes.NewReader(syntheticTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd.Meta(), evs
+}
+
+// syntheticTrace records a small two-core stream with a lock wait.
+func syntheticTrace(t testing.TB) []byte {
 	t.Helper()
 	m := newTestMachine(t, 2)
 	var buf bytes.Buffer
@@ -269,15 +283,7 @@ func makeSyntheticStream(t *testing.T) (Meta, []Event) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := rd.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rd.Meta(), evs
+	return buf.Bytes()
 }
 
 // TestTimelineLockWaits checks the reconstructor attributes lock waits to

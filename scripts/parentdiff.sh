@@ -34,6 +34,7 @@ cmds=(
   "clearchaos -runs 32 -seed 1"
   "clearchaos -plan planted -configs CW -runs 20 -seed 1"
   "clearbench -quick -csv quick.csv"
+  "clearbench -quick -sweep"
   "cleartrace record -mem -bench labyrinth -config B -cores 16 -ops 16 -seed 2 -o labyrinth.trace"
   "cleartrace record -mem -bench bayes -config W -cores 32 -ops 8 -seed 1 -o bayes.trace"
   "cleartrace summary labyrinth.trace"
