@@ -322,6 +322,17 @@ func cmdMetrics(args []string) error {
 	return trace.WriteIntervalCSV(os.Stdout, samples)
 }
 
+// verifyIntervals bounds the interval samples verify's Perfetto check
+// emits, so its cost follows the trace's events, not its last tick.
+const verifyIntervals = 4096
+
+// verifyWidth is the sample width of verify's Perfetto check for a trace
+// ending at tick last: the default 10,000 ticks, widened when that would
+// need more than verifyIntervals samples (from tick 40,960,000 on).
+func verifyWidth(last sim.Tick) sim.Tick {
+	return max(10_000, last/verifyIntervals+1)
+}
+
 // cmdVerify validates a trace end to end: header decodes, every record is
 // well-formed and non-decreasing in tick, the timeline reconstructs, and
 // the Perfetto export parses as trace-event JSON. Exit status 0 means the
@@ -352,7 +363,7 @@ func cmdVerify(args []string) error {
 	}
 	// Round-trip the Perfetto export through the JSON decoder and check the
 	// trace-event schema shape.
-	samples, err := trace.SampleIntervals(meta, evs, 10_000)
+	samples, err := trace.SampleIntervals(meta, evs, verifyWidth(last))
 	if err != nil {
 		return err
 	}

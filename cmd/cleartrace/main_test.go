@@ -2,16 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/runstore"
+	"repro/internal/sim"
 )
 
 // TestMain lets the test binary stand in for the tool: with
@@ -101,7 +104,7 @@ func TestExitStatus(t *testing.T) {
 		{args: "diff a.trace missing", code: 1},
 		{args: "profile " + overflow, code: 1, stderr: "trace: header claims 2147483647 cores"},
 		{args: "summary " + overflow, code: 1, stderr: "trace: header claims 2147483647 cores"},
-		{args: "verify " + farTick, code: 1, stderr: "trace: tick 17179869184"},
+		{args: "verify " + farTick, code: 0},
 		{args: "metrics -interval 1 " + farTick, code: 1, stderr: "trace: tick 17179869184"},
 		{args: "export -interval 1 -o f.json " + farTick, code: 1, stderr: "trace: tick 17179869184", absent: "f.json"},
 	} {
@@ -117,6 +120,43 @@ func TestExitStatus(t *testing.T) {
 				t.Errorf("cleartrace %s left %s behind", tc.args, tc.absent)
 			}
 		}
+	}
+}
+
+// TestVerifyBoundsIntervals: verify's Perfetto check samples at a width
+// chosen from the trace's last tick. A one-event trace at tick
+// 10,485,750,000 needed 1,048,576 samples at the fixed 10,000-tick width
+// (349 MB of Perfetto JSON); it now gets at most 4,096, and a trace
+// ending before tick 40,960,000 keeps the 10,000-tick width.
+func TestVerifyBoundsIntervals(t *testing.T) {
+	for _, last := range []sim.Tick{0, 9_999, 40_959_999, 40_960_000, 10_485_750_000, 1 << 34, ^sim.Tick(0)} {
+		w := verifyWidth(last)
+		if n := last/w + 1; n > verifyIntervals {
+			t.Errorf("last tick %d: width %d gives %d intervals, want at most %d", last, w, n, verifyIntervals)
+		}
+		if last < 40_960_000 && w != 10_000 {
+			t.Errorf("last tick %d: width %d, want 10000", last, w)
+		}
+	}
+
+	raw, err := os.ReadFile("../../internal/trace/testdata/far-tick.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture's one record is its last 32 bytes and starts with the tick.
+	binary.LittleEndian.PutUint64(raw[len(raw)-32:], 10_485_750_000)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "far.trace"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := run(t, dir, "verify", "far.trace")
+	m := regexp.MustCompile(`(\d+) perfetto events, last tick 10485750000\n$`).FindStringSubmatch(stdout)
+	if code != 0 || m == nil {
+		t.Fatalf("verify exited %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	// Four counter events per interval, plus the process and thread names.
+	if n, _ := strconv.Atoi(m[1]); n > 4*verifyIntervals+2 {
+		t.Fatalf("verify emitted %d perfetto events, want at most %d", n, 4*verifyIntervals+2)
 	}
 }
 

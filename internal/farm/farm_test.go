@@ -585,6 +585,12 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		// delay draw, the second wrapped each stall to one tick less.
 		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"EventDelayRate":1,"EventDelayMax":9223372036854775808}}`},
 		{"/jobs", `{` + job + `,"cores":4,"fault_plan":{"StallRate":1,"StallTicks":18446744073709551615}}`},
+		// These were keyed: a body is one JSON value, and member names
+		// match exactly, nested ones too.
+		{"/jobs", `{` + job + `,"cores":2}{"cores":64} trailing garbage`},
+		{"/jobs", `{` + job + `,"cores":2} x`},
+		{"/jobs", `{"BENCHMARK":"hashmap","config":"C","CORES":2,"ops_per_thread":4,"retry_limit":2,"seed":1}`},
+		{"/jobs", `{` + job + `,"cores":2,"fault_plan":{"nackrate":0.1}}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

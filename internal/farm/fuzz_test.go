@@ -38,6 +38,8 @@ func FuzzJobBody(f *testing.F) {
 		`{` + job + `,"cores":2,"ert_entries":8,"crt_entries":16,"crt_ways":4}`,
 		`{` + job + `,"cores":65}`,
 		`{` + job + `,"cores":4,"fault_plan":{"EventDelayRate":1,"EventDelayMax":9223372036854775808}}`,
+		`{` + job + `,"cores":2}{"cores":64} trailing garbage`,
+		`{"BENCHMARK":"hashmap","config":"C","CORES":2,"ops_per_thread":4,"retry_limit":2,"seed":1}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -1,14 +1,18 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -481,12 +485,66 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody decodes a request body strictly: a member the server does not
-// know is an error, not a field silently dropped from the run's key.
+// decodeBody decodes a request body strictly: the body is one JSON value,
+// and a member the server does not know is an error, not a field silently
+// dropped from the run's key. encoding/json alone would stop at the end of
+// the first value and match member names case-insensitively, so trailing
+// data and a name like "BENCHMARK" are refused here.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the first JSON value")
+	}
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(v); err != nil {
+		return err
+	}
+	return exactNames(raw, reflect.TypeOf(v))
+}
+
+// exactNames walks the objects in data that decode into structs of type t
+// and refuses a member whose name is not exactly a field's JSON name.
+// Values that are not objects, such as a policy's text form, were already
+// checked by the strict decode.
+func exactNames(data []byte, t reflect.Type) error {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	var members map[string]json.RawMessage
+	if t.Kind() != reflect.Struct || json.Unmarshal(data, &members) != nil {
+		return nil
+	}
+	for name, value := range members {
+		f, ok := fieldByJSONName(t, name)
+		if !ok {
+			return fmt.Errorf("json: unknown field %q", name)
+		}
+		if err := exactNames(value, f.Type); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fieldByJSONName returns the field of struct type t that encoding/json
+// writes under name.
+func fieldByJSONName(t reflect.Type, name string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if tag == "" {
+			tag = f.Name
+		}
+		if f.IsExported() && tag != "-" && tag == name {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/check"
 	"repro/internal/coherence"
@@ -30,7 +30,9 @@ type RunSpec string
 // its text.
 func (s RunSpec) Key() string {
 	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // Spec renders the run's canonical cache spec: a versioned header, a salt
@@ -47,43 +49,64 @@ func (s RunSpec) Key() string {
 // records. A reflection test (TestRunParamsSpecCoverage) pins the RunParams
 // field set, so adding a field without classifying it here fails loudly.
 func (p RunParams) Spec() RunSpec {
-	var b strings.Builder
-	fmt.Fprintf(&b, "runspec/v%d\n", specVersion)
-	fmt.Fprintf(&b, "salt=stats-digest/v%d\n", stats.DigestSchemaVersion)
-	fmt.Fprintf(&b, "benchmark=%s\n", p.Benchmark)
-	fmt.Fprintf(&b, "config=%s\n", p.Config.String())
-	fmt.Fprintf(&b, "cores=%d\n", p.Cores)
-	fmt.Fprintf(&b, "ops_per_thread=%d\n", p.OpsPerThread)
-	fmt.Fprintf(&b, "retry_limit=%d\n", p.RetryLimit)
-	fmt.Fprintf(&b, "seed=%d\n", p.Seed)
-	fmt.Fprintf(&b, "max_ticks=%d\n", uint64(p.MaxTicks))
-	fmt.Fprintf(&b, "sle=%t\n", p.SLE)
-	fmt.Fprintf(&b, "oracle=%t\n", p.Oracle)
-	fmt.Fprintf(&b, "mesh=%t\n", p.Mesh)
-	fmt.Fprintf(&b, "disable_discovery_continuation=%t\n", p.DisableDiscoveryContinuation)
-	fmt.Fprintf(&b, "scl_lock_all_reads=%t\n", p.SCLLockAllReads)
-	fmt.Fprintf(&b, "ert_entries=%d\n", p.ERTEntries)
-	fmt.Fprintf(&b, "alt_entries=%d\n", p.ALTEntries)
-	fmt.Fprintf(&b, "crt_entries=%d\n", p.CRTEntries)
-	fmt.Fprintf(&b, "crt_ways=%d\n", p.CRTWays)
+	// The stack buffer holds a spec without a fault plan (about 430
+	// bytes), so the returned text is the only allocation.
+	var buf [640]byte
+	b := append(buf[:0], "runspec/v"...)
+	b = strconv.AppendInt(b, specVersion, 10)
+	b = append(b, "\nsalt=stats-digest/v"...)
+	b = strconv.AppendInt(b, stats.DigestSchemaVersion, 10)
+	b = append(b, "\nbenchmark="...)
+	b = append(b, p.Benchmark...)
+	b = append(b, "\nconfig="...)
+	b = append(b, p.Config.String()...)
+	b = append(b, "\ncores="...)
+	b = strconv.AppendInt(b, int64(p.Cores), 10)
+	b = append(b, "\nops_per_thread="...)
+	b = strconv.AppendInt(b, int64(p.OpsPerThread), 10)
+	b = append(b, "\nretry_limit="...)
+	b = strconv.AppendInt(b, int64(p.RetryLimit), 10)
+	b = append(b, "\nseed="...)
+	b = strconv.AppendUint(b, p.Seed, 10)
+	b = append(b, "\nmax_ticks="...)
+	b = strconv.AppendUint(b, uint64(p.MaxTicks), 10)
+	b = append(b, "\nsle="...)
+	b = strconv.AppendBool(b, p.SLE)
+	b = append(b, "\noracle="...)
+	b = strconv.AppendBool(b, p.Oracle)
+	b = append(b, "\nmesh="...)
+	b = strconv.AppendBool(b, p.Mesh)
+	b = append(b, "\ndisable_discovery_continuation="...)
+	b = strconv.AppendBool(b, p.DisableDiscoveryContinuation)
+	b = append(b, "\nscl_lock_all_reads="...)
+	b = strconv.AppendBool(b, p.SCLLockAllReads)
+	b = append(b, "\nert_entries="...)
+	b = strconv.AppendInt(b, int64(p.ERTEntries), 10)
+	b = append(b, "\nalt_entries="...)
+	b = strconv.AppendInt(b, int64(p.ALTEntries), 10)
+	b = append(b, "\ncrt_entries="...)
+	b = strconv.AppendInt(b, int64(p.CRTEntries), 10)
+	b = append(b, "\ncrt_ways="...)
+	b = strconv.AppendInt(b, int64(p.CRTWays), 10)
 	// The retired forward-progress watchdog keyed runs here; the line stays,
 	// always empty, so every key derived without a watchdog still resolves.
-	b.WriteString("watchdog=\n")
-	b.WriteString("fault_plan=")
+	b = append(b, "\nwatchdog=\nfault_plan="...)
 	if p.FaultPlan != nil {
 		// Fault injection perturbs the simulation, so two runs under
 		// different plans are different cache entries.
-		fmt.Fprintf(&b, "%+v", *p.FaultPlan)
+		b = fmt.Appendf(b, "%+v", *p.FaultPlan)
 	}
-	b.WriteString("\n")
+	b = append(b, '\n')
 	if !p.Policy.IsDefault() {
 		// Default-elision: the policy line appears only for non-default
 		// policies. The default policy is bit-identical to the pre-policy
 		// simulator, so eliding it preserves every previously derived key —
 		// the one sanctioned exception to "append-only within a version".
-		fmt.Fprintf(&b, "policy=%s\n", p.Policy.Canonical())
+		b = append(b, "policy="...)
+		b = append(b, p.Policy.Canonical()...)
+		b = append(b, '\n')
 	}
-	return RunSpec(b.String())
+	return RunSpec(b)
 }
 
 // Cacheable reports whether the run's outcome is fully captured by a cached
@@ -113,17 +136,19 @@ type CacheRecord struct {
 	Oracle *check.Report   `json:"oracle,omitempty"`
 }
 
-// DecodeCacheRecord parses a runstore payload. A payload without stats is
-// rejected: it is either corrupt or from a foreign schema.
+// DecodeCacheRecord parses a runstore payload with decodeRecord, the
+// single-pass decoder of exactly the JSON EncodeCacheRecord writes. A
+// payload it does not recognise, or one without stats, is rejected: it is
+// either corrupt or from a foreign schema.
 func DecodeCacheRecord(payload []byte) (*CacheRecord, error) {
-	var rec CacheRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return nil, fmt.Errorf("harness: decode cache record: %w", err)
 	}
 	if rec.Stats == nil {
 		return nil, fmt.Errorf("harness: cache record has no stats (corrupt or foreign)")
 	}
-	return &rec, nil
+	return rec, nil
 }
 
 // LookupCached returns the cached result of p from st, if one exists. A nil
