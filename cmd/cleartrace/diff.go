@@ -151,9 +151,11 @@ func loadInput(arg string, st *runstore.Store) (*summary, error) {
 	if !ok {
 		return nil, fmt.Errorf("runstore: record %s vanished", key)
 	}
+	// A read-only diff reports a corrupt record and leaves it where it is;
+	// quarantine is for the sweeps that would rerun it.
 	rec, err := harness.DecodeCacheRecord(payload)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("record %s: %w", key, err)
 	}
 	return summarizeRecord(key[:12], rec), nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -200,4 +201,41 @@ func TestDiffTraceAgainstRecord(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^(commits|aborts)/`).MatchString(stdout) {
 		t.Errorf("diff against another seed lists no commits/ or aborts/ row:\n%s", stdout)
 	}
+
+	// A torn record is a decode error naming the key, and a read-only diff
+	// leaves the cache directory exactly as it found it: no quarantine.
+	rec, err := os.ReadFile(recFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(recFile, rec[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot(t, cache)
+	stdout, stderr, code := run(t, dir, "diff", "-cache-dir", cache, "seed3.trace", key[:8])
+	if code != 1 || stdout != "" || !strings.Contains(stderr, key) || !strings.Contains(stderr, "decode") {
+		t.Errorf("diff against a torn record: exit %d, stdout %q, stderr %q; want exit 1 and a decode error naming %s",
+			code, stdout, stderr, key)
+	}
+	if after := snapshot(t, cache); !reflect.DeepEqual(after, before) {
+		t.Errorf("diff changed the cache directory:\n before %q\n after  %q", before, after)
+	}
+}
+
+// snapshot maps every file under dir to its contents.
+func snapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

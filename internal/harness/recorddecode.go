@@ -32,9 +32,9 @@ import (
 //     object or a map, as encoding/json does;
 //   - only whitespace may follow the record.
 //
-// Anything else is an error, which LookupCached counts as a miss. The
-// decoder never panics: every read is bounds-checked and every loop
-// consumes input or stops at the first error.
+// Anything else is an error, which LookupCached counts as a miss and
+// quarantines. The decoder never panics: every read is bounds-checked and
+// every loop consumes input or stops at the first error.
 func decodeRecord(b []byte) (*CacheRecord, error) {
 	d := recordDecoder{buf: b}
 	rec := new(CacheRecord)

@@ -155,18 +155,23 @@ func DecodeCacheRecord(payload []byte) (*CacheRecord, error) {
 // store, an uncacheable run, or an undecodable record all report a miss; the
 // caller falls back to simulating. The restored RunResult carries p itself
 // as Params.
+//
+// The store does not judge payloads, so this is where a corrupt record is
+// caught: a payload DecodeCacheRecord rejects — torn, not JSON, without
+// stats, or with an unknown member — is quarantined before the miss is
+// reported, and the rerun's Put repairs the slot.
 func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 	if st == nil || !p.Cacheable() {
 		return nil, false
 	}
-	payload, ok, err := st.Get(p.Spec().Key())
+	key := p.Spec().Key()
+	payload, ok, err := st.Get(key)
 	if err != nil || !ok {
 		return nil, false
 	}
 	rec, err := DecodeCacheRecord(payload)
 	if err != nil {
-		// Corrupt or foreign record: treat as a miss and let the rerun's
-		// Put overwrite it.
+		st.Quarantine(key)
 		return nil, false
 	}
 	if p.Oracle && rec.Oracle == nil {

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -303,6 +305,93 @@ func TestRunCachedRoundTrip(t *testing.T) {
 	if _, _, hit := RunCheckedCached(st, pt); hit {
 		t.Fatal("traced run was served from the cache")
 	}
+}
+
+// TestLookupCachedQuarantines holds the quarantine contract where it lives
+// now that the store returns payloads unjudged. A truncated record, a
+// non-JSON record, a JSON record with no stats and one with an unknown
+// member are each a LookupCached miss and are each moved to <key>.corrupt
+// byte for byte, after which RunCheckedCached simulates again and repairs
+// the slot while the corpse stays. A valid record that only lacks the
+// oracle report an oracle key needs is a miss left in place.
+func TestLookupCachedQuarantines(t *testing.T) {
+	p := DefaultRunParams("hashmap", ConfigC)
+	p.Cores = 4
+	p.OpsPerThread = 10
+	res, fail := RunChecked(p)
+	if fail != nil {
+		t.Fatalf("run failed: %v", fail)
+	}
+	good, err := EncodeCacheRecord(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// open returns a fresh store holding payload under key, and the paths
+	// of its record and of the record's quarantine.
+	open := func(t *testing.T, key string, payload []byte) (st *runstore.Store, rec, corpse string) {
+		t.Helper()
+		st, err := runstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		shard := filepath.Join(st.Dir(), key[:2])
+		return st, filepath.Join(shard, key+".json"), filepath.Join(shard, key+".corrupt")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"not JSON", []byte("not json at all")},
+		{"no stats", []byte(`{"spec":"runspec/v1","energy":1}`)},
+		{"unknown member", []byte(`{"ok":true}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := p.Spec().Key()
+			st, rec, corpse := open(t, key, tc.payload)
+			if _, hit := LookupCached(st, p); hit {
+				t.Fatal("a corrupt record was served as a hit")
+			}
+			if _, err := os.Stat(rec); !os.IsNotExist(err) {
+				t.Fatalf("corrupt record still at its path: %v", err)
+			}
+			if moved, err := os.ReadFile(corpse); err != nil || !bytes.Equal(moved, tc.payload) {
+				t.Fatalf("quarantined bytes = %q, %v; want %q", moved, err, tc.payload)
+			}
+			if _, fail, hit := RunCheckedCached(st, p); fail != nil || hit {
+				t.Fatalf("rerun after quarantine: fail=%v hit=%v", fail, hit)
+			}
+			if got, err := os.ReadFile(rec); err != nil || !bytes.Equal(got, good) {
+				t.Fatalf("repaired record = %q, %v; want the simulated run's record", got, err)
+			}
+			if _, hit := LookupCached(st, p); !hit {
+				t.Fatal("the repaired record is not a hit")
+			}
+			if _, err := os.Stat(corpse); err != nil {
+				t.Fatalf("corpse removed by the repair: %v", err)
+			}
+		})
+	}
+
+	t.Run("stale oracle record", func(t *testing.T) {
+		po := p
+		po.Oracle = true
+		key := po.Spec().Key()
+		st, rec, corpse := open(t, key, good)
+		if _, hit := LookupCached(st, po); hit {
+			t.Fatal("an oracle run was served a cached record without an oracle report")
+		}
+		if got, err := os.ReadFile(rec); err != nil || !bytes.Equal(got, good) {
+			t.Fatalf("stale record = %q, %v; want it left in place", got, err)
+		}
+		if _, err := os.Stat(corpse); !os.IsNotExist(err) {
+			t.Fatalf("a decodable stale record was quarantined: %v", err)
+		}
+	})
 }
 
 // matrixCSV runs the sweep and renders its cell CSV.

@@ -33,6 +33,14 @@ func (s *Mem) Put(key string, payload []byte) error {
 	return nil
 }
 
+// Quarantine deletes the payload under key: nothing outlives the process to
+// inspect, so there is no corpse to keep.
+func (s *Mem) Quarantine(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, key)
+}
+
 // Len returns the number of stored records.
 func (s *Mem) Len() int {
 	s.mu.Lock()

@@ -1,36 +1,45 @@
 // Package runstore is the on-disk run cache behind resumable sweeps: a
-// directory of opaque JSON records, each stored under a hex content key.
-// Every simulation run is a pure function of its parameters, so its summary
-// can be memoized under a hash of them; the caller derives the key
-// (harness.RunParams.Spec().Key()) and owns the payload schema. Nothing here
-// imports the simulator.
+// directory of opaque records, each stored under a hex content key. Every
+// simulation run is a pure function of its parameters, so its summary can
+// be memoized under a hash of them; the caller derives the key
+// (harness.RunParams.Spec().Key()) and owns the payload schema. The store
+// never parses a payload: the reader that decodes it judges it, and asks
+// for a record it cannot decode to be quarantined. Nothing here imports the
+// simulator.
 package runstore
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // Backend is the result-store interface the harness and the sweep farm
-// memoize runs through: opaque JSON payloads under content keys. *Store is
-// the local-directory implementation and Mem the in-memory one (tests,
+// memoize runs through: opaque payloads under content keys. *Store is the
+// local-directory implementation and Mem the in-memory one (tests,
 // ephemeral farms). Implementations must be safe for concurrent use — they
 // sit behind the matrix worker pool and the farm's worker fleet — and Put
 // must not retain the caller's slice.
 type Backend interface {
-	// Get returns the payload cached under key, or ok=false on a miss.
+	// Get returns the payload cached under key, or ok=false on a miss. The
+	// payload is returned as stored, unjudged: decoding it is the caller's.
 	Get(key string) (payload []byte, ok bool, err error)
 	// Put persists payload under key; re-putting an existing key overwrites
 	// it (identical specs produce identical payloads, so last-writer-wins is
 	// harmless).
 	Put(key string, payload []byte) error
+	// Quarantine takes the payload under key out of service, best effort,
+	// once its reader has found it corrupt: later Gets miss until a Put
+	// repairs the slot.
+	Quarantine(key string)
 }
 
 var _ Backend = (*Store)(nil)
 
-// Store is a concurrency-safe, content-addressed result cache: opaque JSON
+// Store is a concurrency-safe, content-addressed result cache: opaque
 // payloads persisted as individual records under a two-level sharded
 // directory (key[:2]/key.json). Every Get reads the record from disk.
 //
@@ -38,10 +47,10 @@ var _ Backend = (*Store)(nil)
 // directory and atomically renamed into place, so a sweep killed mid-write
 // leaves either the complete record or nothing — never a torn file — and
 // concurrent writers of one key race idempotently. A record that fails to
-// decode on the harness side is treated as a miss and recomputed, so even
+// decode on the harness side is quarantined and recomputed, so even
 // external corruption only costs time, not correctness.
 type Store struct {
-	dir string
+	dir string // cleaned once by Open; path appends to it
 }
 
 // Open creates (if necessary) and opens the store rooted at dir.
@@ -52,20 +61,23 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: filepath.Clean(dir)}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
 // path shards records by the first two hex characters of the key, keeping
-// individual directories small even for six-figure sweeps.
+// individual directories small even for six-figure sweeps. It appends to
+// the root Open cleaned, where filepath.Join would clean the whole path
+// again on every lookup.
 func (s *Store) path(key string) string {
 	shard := "xx"
 	if len(key) >= 2 {
 		shard = key[:2]
 	}
-	return filepath.Join(s.dir, shard, key+".json")
+	const sep = string(filepath.Separator)
+	return s.dir + sep + shard + sep + key + ".json"
 }
 
 // Get returns the payload cached under key, or ok=false when the store holds
@@ -73,27 +85,69 @@ func (s *Store) path(key string) string {
 // permission problem should surface, not silently force recomputation
 // forever.
 //
-// A record that is not valid JSON — truncated by a crash that outran the
-// temp+rename protocol (a torn shard copied from another host, a disk-level
-// corruption) — is quarantined to <key>.corrupt in its shard directory and
-// reported as a plain miss: the caller recomputes and the next Put lays down
-// a fresh record, while the corpse stays inspectable beside it.
+// Get returns the bytes it read without judging them. A torn record —
+// truncated by a crash that outran the temp+rename protocol, a torn shard
+// copied from another host, a disk-level corruption — comes back as it is;
+// the reader that fails to decode it calls Quarantine.
 func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
-	data, err := os.ReadFile(s.path(key))
+	data, err := readFile(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, nil
 		}
 		return nil, false, fmt.Errorf("runstore: read %s: %w", key, err)
 	}
-	if !json.Valid(data) {
-		// Best effort: a failed rename still reports a miss, and the
-		// rerun's Put overwrites the record in place.
-		p := s.path(key)
-		_ = os.Rename(p, p[:len(p)-len(".json")]+".corrupt")
-		return nil, false, nil
-	}
 	return data, true, nil
+}
+
+// readFile is os.ReadFile without the network poller. os.Open offers every
+// file to the runtime's poller, which on Linux costs a regular file four
+// fcntl calls and an epoll_ctl that fails: as many syscalls as the read
+// itself. syscall.Open plus os.NewFile costs one fcntl, so a record takes
+// open, fcntl, fstat, the read, the read that sees EOF, and close. Errors
+// are *os.PathError, as from os.ReadFile.
+func readFile(path string) ([]byte, error) {
+	var f *os.File
+	for {
+		fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		if err == nil {
+			f = os.NewFile(uintptr(fd), path)
+			break
+		}
+		if !errors.Is(err, syscall.EINTR) {
+			return nil, &os.PathError{Op: "open", Path: path, Err: err}
+		}
+	}
+	defer f.Close()
+	// Size the buffer as os.ReadFile does: the Stat size, one byte more for
+	// the read that sees EOF, and at least 512 bytes.
+	size := 0
+	if info, err := f.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
+		size = int(info.Size())
+	}
+	data := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// Quarantine renames the record under key to <key>.corrupt in its shard
+// directory, where it stays for inspection; the next Get misses and the
+// next Put lays down a fresh record. Best effort: if the rename fails, the
+// rerun's Put overwrites the record in place.
+func (s *Store) Quarantine(key string) {
+	p := s.path(key)
+	_ = os.Rename(p, p[:len(p)-len(".json")]+".corrupt")
 }
 
 // Put persists payload under key: temp file + atomic rename. Re-putting an
@@ -130,10 +184,12 @@ func (s *Store) Put(key string, payload []byte) error {
 // stored key that starts with it, scanning the sharded directory layout.
 // It errors when no record matches or when the prefix is ambiguous —
 // offline tools (cleartrace diff) use it to accept short keys the way git
-// accepts short object ids. An empty prefix is rejected.
+// accepts short object ids. The prefix comes from the command line, so
+// anything but 1–64 lowercase hex digits is refused before the directory
+// is read: ".." would otherwise list the store's parent as a shard.
 func (s *Store) Resolve(prefix string) (string, error) {
-	if prefix == "" {
-		return "", fmt.Errorf("runstore: empty key prefix")
+	if !isKeyPrefix(prefix) {
+		return "", fmt.Errorf("runstore: key prefix %q is not 1-64 lowercase hex digits", prefix)
 	}
 	var shards []string
 	if len(prefix) >= 2 {
@@ -177,4 +233,18 @@ func (s *Store) Resolve(prefix string) (string, error) {
 		return "", fmt.Errorf("runstore: no record matches key prefix %q", prefix)
 	}
 	return match, nil
+}
+
+// isKeyPrefix reports whether s is 1–64 lowercase hex digits: an
+// abbreviation of a hex SHA-256 key.
+func isKeyPrefix(s string) bool {
+	if len(s) == 0 || len(s) > 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -102,10 +102,11 @@ func TestStoreConcurrentAccess(t *testing.T) {
 }
 
 func TestStoreCorruptRecordQuarantined(t *testing.T) {
-	// Truncated and invalid-JSON records are misses, not errors: the bad
-	// file is renamed to <key>.corrupt beside its shard so a crashed (or
-	// bit-flipped) cache never wedges a lookup, and the rerun's Put lays
-	// down a fresh record at the original path.
+	// The store returns truncated and invalid-JSON records as they are: the
+	// reader judges them and calls Quarantine, which renames the bad file to
+	// <key>.corrupt beside its shard so a crashed (or bit-flipped) cache
+	// never wedges a lookup, and the rerun's Put lays down a fresh record at
+	// the original path.
 	cases := map[string][]byte{
 		"truncated": []byte(`{"spec":"runspec/v1","stats":{"cyc`),
 		"invalid":   []byte(`not json at all`),
@@ -127,9 +128,10 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 			}
 
 			got, ok, err := st.Get(key)
-			if err != nil || ok || got != nil {
-				t.Fatalf("corrupt Get = %q, %v, %v; want miss without error", got, ok, err)
+			if err != nil || !ok || string(got) != string(bad) {
+				t.Fatalf("corrupt Get = %q, %v, %v; want the stored bytes", got, ok, err)
 			}
+			st.Quarantine(key)
 			if _, err := os.Stat(recPath); !os.IsNotExist(err) {
 				t.Fatalf("corrupt record still at lookup path: %v", err)
 			}
@@ -140,6 +142,9 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 			}
 			if string(moved) != string(bad) {
 				t.Fatalf("quarantined bytes = %q, want %q", moved, bad)
+			}
+			if got, ok, err := st.Get(key); err != nil || ok || got != nil {
+				t.Fatalf("Get after quarantine = %q, %v, %v; want miss without error", got, ok, err)
 			}
 
 			// The next Put repairs the slot; the corpse stays for auditing.
@@ -157,8 +162,9 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 }
 
 // TestMemBackend holds both backends to one contract: a miss, a round
-// trip, and a Put that copies — mutating the caller's slice afterwards must
-// not change what Get returns.
+// trip, a Put that copies — mutating the caller's slice afterwards must
+// not change what Get returns — and a Quarantine after which Get misses
+// until a Put restores the key.
 func TestMemBackend(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -189,6 +195,16 @@ func TestMemBackend(t *testing.T) {
 			}
 			if _, ok, err := be.Get(keyB); ok || err != nil {
 				t.Fatalf("Get of another key = %v, %v", ok, err)
+			}
+			be.Quarantine(keyA)
+			if got, ok, err := be.Get(keyA); ok || err != nil {
+				t.Fatalf("Get after Quarantine = %q, %v, %v; want a miss", got, ok, err)
+			}
+			if err := be.Put(keyA, []byte(`{"cycles":8}`)); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := be.Get(keyA); err != nil || !ok || string(got) != `{"cycles":8}` {
+				t.Fatalf("Get after re-Put = %q, %v, %v", got, ok, err)
 			}
 		})
 	}
@@ -235,5 +251,101 @@ func TestStoreResolve(t *testing.T) {
 	}
 	if _, err := st.Resolve(""); err == nil {
 		t.Fatal("Resolve(\"\") succeeded, want error")
+	}
+}
+
+// TestStoreResolveStaysInStore feeds Resolve prefixes that are not lowercase
+// hex, with a record-shaped file beside the store: ".." used to list the
+// store's parent as a shard and resolve to "..outside", which Get then read
+// from outside the store. Every such prefix is refused, naming the rule,
+// before the directory is read — the store's root is gone by then.
+func TestStoreResolveStaysInStore(t *testing.T) {
+	root := t.TempDir()
+	st, err := Open(filepath.Join(root, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "..outside.json"), []byte(`{"stolen":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Resolve(".."); err == nil {
+		payload, _, _ := st.Get(got)
+		t.Fatalf("Resolve(..) = %q (Get reads %q), want an error", got, payload)
+	}
+	if err := os.Remove(st.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"", ".", "..", "../", "./ab", "g", "A", "aB", "ab/", "ab\\x", "0x", strings.Repeat("a", 65)} {
+		if got, err := st.Resolve(prefix); err == nil || !strings.Contains(err.Error(), "lowercase hex") {
+			t.Errorf("Resolve(%q) = %q, %v; want the hex-prefix error", prefix, got, err)
+		}
+	}
+}
+
+// FuzzStoreResolve feeds arbitrary prefixes to Resolve over a store seeded
+// with a few keys, with a record-shaped file beside the store and a stray
+// one in its root. Resolve never panics, and any key it returns starts with
+// the prefix, is one of the stored keys and is found by Get.
+func FuzzStoreResolve(f *testing.F) {
+	root := f.TempDir()
+	st, err := Open(filepath.Join(root, "cache"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	stored := map[string]bool{keyA: true, keyB: true, "aabbccddee00112233": true, "aab0000000aaaaaaaa": true}
+	for k := range stored {
+		if err := st.Put(k, []byte(`{}`)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, p := range []string{filepath.Join(root, "..outside.json"), filepath.Join(st.Dir(), "..stray.json")} {
+		if err := os.WriteFile(p, []byte(`{}`), 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, seed := range []string{"", ".", "..", "../cache", "5", "5d41", keyA, keyA + "0", "aab", "aabb", "c0ffee", "C0FFEE", "xx", "\x00"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, prefix string) {
+		key, err := st.Resolve(prefix)
+		if err != nil {
+			return
+		}
+		if !strings.HasPrefix(key, prefix) || !stored[key] {
+			t.Fatalf("Resolve(%q) = %q, not a stored key with that prefix", prefix, key)
+		}
+		if _, ok, err := st.Get(key); !ok || err != nil {
+			t.Fatalf("Resolve(%q) = %q, which Get misses: %v", prefix, key, err)
+		}
+	})
+}
+
+var payloadSink []byte
+
+// BenchmarkStoreGet reads one record through a real Store in a temp
+// directory: the committed 1,370-byte hashmap/C record of the clearbench
+// -quick matrix, the read every warm-sweep lookup makes. CI holds its
+// allocs/op and B/op to a budget.
+func BenchmarkStoreGet(b *testing.B) {
+	rec, err := os.ReadFile(filepath.Join("..", "harness", "testdata", "records", "quick-hashmap-C.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Put(keyA, rec); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payload, ok, err := st.Get(keyA)
+		if !ok || err != nil {
+			b.Fatalf("Get = %v, %v", ok, err)
+		}
+		payloadSink = payload
 	}
 }
