@@ -231,8 +231,7 @@ func cmdTimeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	tl := trace.BuildTimeline(meta, evs)
-	for _, s := range tl.Spans {
+	for _, s := range trace.BuildProfile(meta, evs).Spans {
 		if *core >= 0 && s.Core != *core {
 			continue
 		}
@@ -294,11 +293,9 @@ func cmdExport(args []string) error {
 	}
 	switch *format {
 	case "perfetto":
-		tl := trace.BuildTimeline(meta, evs)
-		return trace.WritePerfetto(w, tl, samples)
+		return trace.WritePerfetto(w, trace.BuildProfile(meta, evs), samples)
 	case "csv":
-		tl := trace.BuildTimeline(meta, evs)
-		return trace.WriteSpanCSV(w, tl)
+		return trace.WriteSpanCSV(w, trace.BuildProfile(meta, evs))
 	}
 	return trace.WriteEventCSV(w, meta, evs)
 }
@@ -334,7 +331,7 @@ func verifyWidth(last sim.Tick) sim.Tick {
 }
 
 // cmdVerify validates a trace end to end: header decodes, every record is
-// well-formed and non-decreasing in tick, the timeline reconstructs, and
+// well-formed and non-decreasing in tick, the spans reconstruct, and
 // the Perfetto export parses as trace-event JSON. Exit status 0 means the
 // file passed; CI uses this as the round-trip gate.
 func cmdVerify(args []string) error {
@@ -354,9 +351,9 @@ func cmdVerify(args []string) error {
 			return fmt.Errorf("record %d: core %d out of range (header says %d cores)", i, e.Core, meta.Cores)
 		}
 	}
-	tl := trace.BuildTimeline(meta, evs)
+	p := trace.BuildProfile(meta, evs)
 	open := 0
-	for _, s := range tl.Spans {
+	for _, s := range p.Spans {
 		if s.Outcome == trace.OutcomeOpen {
 			open++
 		}
@@ -368,7 +365,7 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	var buf strings.Builder
-	if err := trace.WritePerfetto(&buf, tl, samples); err != nil {
+	if err := trace.WritePerfetto(&buf, p, samples); err != nil {
 		return fmt.Errorf("perfetto export: %w", err)
 	}
 	var doc struct {
@@ -397,13 +394,13 @@ func cmdVerify(args []string) error {
 	}
 	// CSV exports must render without error.
 	var csvBuf strings.Builder
-	if err := trace.WriteSpanCSV(&csvBuf, tl); err != nil {
+	if err := trace.WriteSpanCSV(&csvBuf, p); err != nil {
 		return fmt.Errorf("span CSV export: %w", err)
 	}
 	if err := trace.WriteEventCSV(&csvBuf, meta, evs); err != nil {
 		return fmt.Errorf("event CSV export: %w", err)
 	}
 	fmt.Printf("ok: %d events, %d spans (%d open), %d perfetto events, last tick %d\n",
-		len(evs), len(tl.Spans), open, len(doc.TraceEvents), uint64(tl.LastTick))
+		len(evs), len(p.Spans), open, len(doc.TraceEvents), uint64(p.LastTick))
 	return nil
 }

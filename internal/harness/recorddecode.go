@@ -23,6 +23,8 @@ import (
 // record json.Unmarshal returns:
 //   - member names must match exactly (encoding/json also folds case), and
 //     a member the schema does not have is an error (encoding/json skips it);
+//   - the "spec" member EncodeCacheRecord opens with, which CacheRecord
+//     does not keep, must be a string; it is checked, then dropped;
 //   - an array holds exactly as many elements as its Go array;
 //   - null is accepted only where the encoder can write it, for a pointer
 //     or a map;
@@ -45,7 +47,7 @@ func decodeRecord(b []byte) (*CacheRecord, error) {
 		}
 		switch string(name) {
 		case "spec":
-			rec.Spec = d.str()
+			d.str(false)
 		case "stats":
 			if d.null() {
 				rec.Stats = nil
@@ -247,29 +249,37 @@ func (d *recordDecoder) uints(dst []uint64) {
 
 // str reads a string the way encoding/json unquotes it: escapes are
 // decoded, a \u escape of an unpaired surrogate and each byte of an invalid
-// UTF-8 sequence become U+FFFD, and a control character is an error. The
-// builder is sized to the quoted text, which bounds the result unless U+FFFD
-// replaces short sequences, so a string costs one allocation.
-func (d *recordDecoder) str() string {
+// UTF-8 sequence become U+FFFD, and a control character is an error. With
+// keep set, the builder is sized to the quoted text, which bounds the result
+// unless U+FFFD replaces short sequences, so a string costs one allocation.
+// With keep unset the string is checked the same way, nothing is built, and
+// str returns "".
+func (d *recordDecoder) str(keep bool) string {
 	if !d.consume('"') {
 		d.fail("want a string")
 		return ""
 	}
-	end := d.pos
-	for end < len(d.buf) && d.buf[end] != '"' {
-		if d.buf[end] == '\\' {
+	var out strings.Builder
+	if keep {
+		end := d.pos
+		for end < len(d.buf) && d.buf[end] != '"' {
+			if d.buf[end] == '\\' {
+				end++
+			}
 			end++
 		}
-		end++
+		out.Grow(min(end, len(d.buf)) - d.pos)
 	}
-	var out strings.Builder
-	out.Grow(min(end, len(d.buf)) - d.pos)
 	i, plain := d.pos, d.pos // plain: the first byte not yet copied to out
 	for i < len(d.buf) {
 		c := d.buf[i]
+		var r rune // the rune the n bytes at i stand for
+		n := 1
 		switch {
 		case c == '"':
-			out.Write(d.buf[plain:i])
+			if keep {
+				out.Write(d.buf[plain:i])
+			}
 			d.pos = i + 1
 			return out.String()
 		case c < ' ':
@@ -280,55 +290,54 @@ func (d *recordDecoder) str() string {
 			i++
 			continue
 		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(d.buf[i:])
-			if r != utf8.RuneError || size != 1 {
+			var size int
+			if r, size = utf8.DecodeRune(d.buf[i:]); r != utf8.RuneError || size != 1 {
 				i += size
 				continue
 			}
-			out.Write(d.buf[plain:i])
-			out.WriteRune(r)
-			i++
 		case i+1 >= len(d.buf):
 			i++
+			continue
 		default:
-			out.Write(d.buf[plain:i])
+			n = 2
 			switch e := d.buf[i+1]; e {
 			case '"', '\\', '/':
-				out.WriteByte(e)
+				r = rune(e)
 			case 'b':
-				out.WriteByte('\b')
+				r = '\b'
 			case 'f':
-				out.WriteByte('\f')
+				r = '\f'
 			case 'n':
-				out.WriteByte('\n')
+				r = '\n'
 			case 'r':
-				out.WriteByte('\r')
+				r = '\r'
 			case 't':
-				out.WriteByte('\t')
+				r = '\t'
 			case 'u':
-				r := hex4(d.buf[i:])
-				if r < 0 {
+				if r = hex4(d.buf[i:]); r < 0 {
 					d.pos = i
 					d.fail("bad \\u escape")
 					return ""
 				}
-				i += 4
+				n = 6
 				if utf16.IsSurrogate(r) {
-					if pair := utf16.DecodeRune(r, hex4(d.buf[i+2:])); pair != utf8.RuneError {
-						r = pair
-						i += 6
+					if pair := utf16.DecodeRune(r, hex4(d.buf[i+6:])); pair != utf8.RuneError {
+						r, n = pair, 12
 					} else {
 						r = utf8.RuneError
 					}
 				}
-				out.WriteRune(r)
 			default:
 				d.pos = i
 				d.fail("bad escape")
 				return ""
 			}
-			i += 2
 		}
+		if keep {
+			out.Write(d.buf[plain:i])
+			out.WriteRune(r)
+		}
+		i += n
 		plain = i
 	}
 	d.pos = i
@@ -538,7 +547,7 @@ func (d *recordDecoder) ar(a *stats.ARStats) {
 		}
 		switch string(name) {
 		case "Name":
-			a.Name = d.str()
+			a.Name = d.str(true)
 		case "Commits":
 			a.Commits = d.uint()
 		case "CommitsByMode":

@@ -125,10 +125,6 @@ func (p RunParams) Cacheable() bool {
 // missing *and* failed cells. Exported so offline tools (cleartrace diff)
 // can read runstore payloads without re-deriving the schema.
 type CacheRecord struct {
-	// Spec is the canonical encoding the key was derived from, kept for
-	// human auditing of the cache directory (it is not re-verified on read;
-	// the content address already guarantees the match).
-	Spec   string          `json:"spec"`
 	Stats  *stats.Run      `json:"stats"`
 	Dir    coherence.Stats `json:"dir"`
 	Energy float64         `json:"energy"`
@@ -197,16 +193,21 @@ func (rec *CacheRecord) Result(p RunParams) *RunResult {
 
 // EncodeCacheRecord renders the persisted JSON form of a successful run
 // result — the exact bytes StoreCached writes and the farm server returns to
-// remote clients, so both sides of the wire decode one schema.
+// remote clients, so both sides of the wire decode one schema. The record
+// opens with a "spec" member, the canonical text the key was derived from,
+// for a reader auditing the store; decoders check it and drop it, since the
+// content address already guarantees the match.
 func EncodeCacheRecord(res *RunResult) ([]byte, error) {
-	payload, err := json.Marshal(CacheRecord{
-		Spec:   string(res.Params.Spec()),
+	payload, err := json.Marshal(struct {
+		Spec RunSpec `json:"spec"`
+		CacheRecord
+	}{res.Params.Spec(), CacheRecord{
 		Stats:  res.Stats,
 		Dir:    res.Dir,
 		Energy: res.Energy,
 		Faults: res.Faults,
 		Oracle: res.Oracle,
-	})
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("harness: encode cache record: %w", err)
 	}

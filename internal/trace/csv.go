@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// WriteSpanCSV renders the timeline's attempt spans as compact CSV on w:
-// one row per span, lock-wait totals folded into wait_ticks/wait_edges.
-func WriteSpanCSV(w io.Writer, tl *Timeline) error {
+// WriteSpanCSV renders the attempt spans of p as compact CSV on w: one row
+// per span, lock-wait totals folded into wait_ticks/wait_edges.
+func WriteSpanCSV(w io.Writer, p *Profile) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"core", "ar", "prog_id", "attempt", "start", "end",
@@ -17,7 +17,7 @@ func WriteSpanCSV(w io.Writer, tl *Timeline) error {
 	}); err != nil {
 		return err
 	}
-	for _, s := range tl.Spans {
+	for _, s := range p.Spans {
 		reason, next := "", ""
 		if s.Outcome == OutcomeAbort {
 			reason = s.Reason.String()
@@ -31,7 +31,7 @@ func WriteSpanCSV(w io.Writer, tl *Timeline) error {
 		}
 		rec := []string{
 			fmt.Sprint(s.Core),
-			tl.Meta.ARName(s.ProgID),
+			p.Meta.ARName(s.ProgID),
 			fmt.Sprint(s.ProgID),
 			fmt.Sprint(s.Attempt),
 			fmt.Sprint(uint64(s.Start)),

@@ -6,13 +6,15 @@
 // operation, through the nil-guarded cpu.Probe / coherence.Observer hook
 // seams.
 //
-// On top of the raw stream the package provides a timeline reconstructor
-// (per-core attempt spans with lock-wait edges), exporters to
-// Chrome/Perfetto trace-event JSON and compact CSV, interval metrics
-// sampling, a line-per-event text renderer (cleartrace dump), and
-// BuildProfile — the one offline fold that turns a trace into counts
-// (commits by mode, aborts by reason, per-AR totals, abort attribution).
-// Live counts during a run come from internal/metrics.
+// On top of the raw stream the package provides BuildProfile, the one
+// offline fold that reconstructs attempts and lock holders: it yields the
+// counts (commits by mode, aborts by reason, per-AR totals, abort
+// attribution) and the per-core attempt spans with their lock-wait edges.
+// SampleIntervals samples that same fold at fixed tick intervals. Exporters
+// render the spans and samples as Chrome/Perfetto trace-event JSON and
+// compact CSV, and a line-per-event text renderer backs cleartrace dump.
+// CommittedARs, the litmus checker's input, reads the memory accesses of
+// committed attempts. Live counts during a run come from internal/metrics.
 //
 // Determinism contract: the binary encoding contains no host-side state
 // (no wall-clock timestamps, no pointers, no map iteration), so the same

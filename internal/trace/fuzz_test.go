@@ -31,14 +31,13 @@ func FuzzTraceReader(f *testing.F) {
 			return
 		}
 		meta := rd.Meta()
-		BuildProfile(meta, evs)
+		p := BuildProfile(meta, evs)
 		CommittedARs(evs)
-		tl := BuildTimeline(meta, evs)
 		samples, _ := SampleIntervals(meta, evs, 10_000)
 		_ = WriteText(io.Discard, meta, evs)
 		_ = WriteEventCSV(io.Discard, meta, evs)
-		_ = WriteSpanCSV(io.Discard, tl)
-		_ = WritePerfetto(io.Discard, tl, samples)
+		_ = WriteSpanCSV(io.Discard, p)
+		_ = WritePerfetto(io.Discard, p, samples)
 		_ = WriteIntervalCSV(io.Discard, samples)
 	})
 }

@@ -32,11 +32,13 @@ type IntervalSample struct {
 // any sweep's tick budget.
 const maxSamples = 1 << 20
 
-// SampleIntervals folds a stream of events into per-interval activity
-// samples of the given width (ticks). Width must be > 0. The sample count
-// follows from the last tick, not the event count, so a stream whose ticks
-// would need more than maxSamples samples is an error, reported before
-// anything is allocated.
+// SampleIntervals runs the BuildProfile fold over a stream of events and
+// samples it every width ticks (width must be > 0): each interval counts
+// the commits, aborts and lock outcomes folded inside it, and reads the
+// locked lines and open attempts at its end. The sample count follows
+// from the last tick, not the event count, so a stream whose ticks would
+// need more than maxSamples samples is an error, reported before the fold
+// runs.
 func SampleIntervals(meta Meta, evs []Event, width sim.Tick) ([]IntervalSample, error) {
 	if width == 0 || len(evs) == 0 {
 		return nil, nil
@@ -48,63 +50,40 @@ func SampleIntervals(meta Meta, evs []Event, width sim.Tick) ([]IntervalSample, 
 	if last/width >= maxSamples {
 		return nil, fmt.Errorf("trace: tick %d at interval width %d needs more than %d samples", last, width, maxSamples)
 	}
+	f := newFold(meta)
 	var out []IntervalSample
-	locked := make(map[uint64]bool)
-	active := make([]bool, meta.Cores)
-	cur := IntervalSample{Start: 0, Width: width}
-
-	countActive := func() int {
-		n := 0
-		for _, a := range active {
-			if a {
-				n++
+	// cut records the fold's state at an interval's end; its running totals
+	// become per-interval counts once the fold is done.
+	cut := func(start sim.Tick) {
+		s := IntervalSample{
+			Start: start, Width: width,
+			Commits: f.p.Commits, Aborts: f.p.Aborts,
+			LockAcquires: f.acquires, LockRetries: f.retries, LockNacks: f.nacks,
+			LockedLines: len(f.lockHolder),
+		}
+		for i := range f.cores {
+			if f.cores[i].inAtt {
+				s.ActiveCores++
 			}
 		}
-		return n
+		out = append(out, s)
 	}
-	flushTo := func(tick sim.Tick) {
-		for tick >= cur.Start && tick-cur.Start >= width {
-			cur.LockedLines = len(locked)
-			cur.ActiveCores = countActive()
-			out = append(out, cur)
-			cur = IntervalSample{Start: cur.Start + width, Width: width}
-		}
-	}
-
+	var start sim.Tick
 	for _, e := range evs {
-		flushTo(e.Tick)
-		switch e.Kind {
-		case KindAttemptStart:
-			if int(e.Core) < len(active) {
-				active[e.Core] = true
-			}
-		case KindAttemptEnd:
-			cur.Aborts++
-			if int(e.Core) < len(active) {
-				active[e.Core] = false
-			}
-		case KindCommit:
-			cur.Commits++
-			if int(e.Core) < len(active) {
-				active[e.Core] = false
-			}
-		case KindLock:
-			switch e.LockOutcome() {
-			case LockOK:
-				cur.LockAcquires++
-				locked[e.Addr] = true
-			case LockRetry:
-				cur.LockRetries++
-			case LockNack:
-				cur.LockNacks++
-			}
-		case KindUnlock:
-			delete(locked, e.Addr)
+		for e.Tick >= start && e.Tick-start >= width {
+			cut(start)
+			start += width
 		}
+		f.add(e)
 	}
-	cur.LockedLines = len(locked)
-	cur.ActiveCores = countActive()
-	out = append(out, cur)
+	cut(start)
+	for i := len(out) - 1; i > 0; i-- {
+		out[i].Commits -= out[i-1].Commits
+		out[i].Aborts -= out[i-1].Aborts
+		out[i].LockAcquires -= out[i-1].LockAcquires
+		out[i].LockRetries -= out[i-1].LockRetries
+		out[i].LockNacks -= out[i-1].LockNacks
+	}
 	return out, nil
 }
 

@@ -38,32 +38,32 @@ type perfettoFile struct {
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
 }
 
-// WritePerfetto renders tl (plus optional interval samples) as Chrome/
-// Perfetto trace-event JSON on w.
-func WritePerfetto(w io.Writer, tl *Timeline, samples []IntervalSample) error {
+// WritePerfetto renders the spans of p (plus optional interval samples) as
+// Chrome/Perfetto trace-event JSON on w.
+func WritePerfetto(w io.Writer, p *Profile, samples []IntervalSample) error {
 	f := perfettoFile{DisplayTimeUnit: "ms"}
-	procName := fmt.Sprintf("clearsim %s/%s seed=%d", tl.Meta.Benchmark, tl.Meta.Config, tl.Meta.Seed)
+	procName := fmt.Sprintf("clearsim %s/%s seed=%d", p.Meta.Benchmark, p.Meta.Config, p.Meta.Seed)
 	f.TraceEvents = append(f.TraceEvents, perfettoEvent{
 		Name: "process_name", Phase: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": procName},
 	})
-	for c := 0; c < tl.Meta.Cores; c++ {
+	for c := 0; c < p.Meta.Cores; c++ {
 		f.TraceEvents = append(f.TraceEvents, perfettoEvent{
 			Name: "thread_name", Phase: "M", Pid: 0, Tid: c,
 			Args: map[string]any{"name": fmt.Sprintf("core %d", c)},
 		})
 	}
-	for _, s := range tl.Spans {
+	for _, s := range p.Spans {
 		end := s.End
 		if s.Outcome == OutcomeOpen {
-			end = tl.LastTick
+			end = p.LastTick
 		}
 		dur := uint64(0)
 		if end > s.Start {
 			dur = uint64(end - s.Start)
 		}
 		args := map[string]any{
-			"ar":      tl.Meta.ARName(s.ProgID),
+			"ar":      p.Meta.ARName(s.ProgID),
 			"attempt": s.Attempt,
 			"mode":    s.StartMode.String(),
 			"outcome": s.Outcome.String(),
@@ -83,7 +83,7 @@ func WritePerfetto(w io.Writer, tl *Timeline, samples []IntervalSample) error {
 			args["footprint"] = s.Footprint
 		}
 		f.TraceEvents = append(f.TraceEvents, perfettoEvent{
-			Name:  fmt.Sprintf("%s [%s]", tl.Meta.ARName(s.ProgID), s.Outcome),
+			Name:  fmt.Sprintf("%s [%s]", p.Meta.ARName(s.ProgID), s.Outcome),
 			Phase: "X",
 			Ts:    uint64(s.Start),
 			Dur:   dur,

@@ -98,6 +98,12 @@ type Profile struct {
 	// RetryLatency is the first-abort→commit latency distribution of
 	// retried invocations (the single-retry bound's direct cost).
 	RetryLatency metrics.HistSummary
+
+	// Spans are the attempts with their lock-wait edges, in the order they
+	// ended. An attempt whose end the stream lacks ends, open, at its
+	// core's next attempt start; attempts still running when the stream
+	// ends come last, by core.
+	Spans []Span
 }
 
 // edgeKey aggregates attribution instances.
@@ -109,13 +115,11 @@ type edgeKey struct {
 	via     string
 }
 
-// profCore is the per-core reconstruction state of BuildProfile.
+// profCore is the per-core state of the fold.
 type profCore struct {
-	// Active attempt.
-	inAtt    bool
-	attStart sim.Tick
-	progID   int
-	mode     cpu.Mode
+	// inAtt marks an attempt in progress; span is its record so far.
+	inAtt bool
+	span  Span
 	// Active invocation (for retry-to-commit latency).
 	inInv      bool
 	aborted    bool
@@ -126,233 +130,339 @@ type profCore struct {
 	// Last lock NACK holder inside the current attempt.
 	nackValid bool
 	nackFrom  int
-	// Open lock waits: line -> (start, holder).
+	// Open lock waits by line.
 	waits map[mem.LineAddr]waitInfo
 }
 
+// waitInfo is one open lock wait. holder is the latest core reported
+// holding the line, the one abort attribution blames; edge indexes the
+// wait's edge in the current span, or is -1 until a retry inside that span
+// opens one.
 type waitInfo struct {
 	start  sim.Tick
 	holder int
+	edge   int
+}
+
+// fold is the one reconstruction of attempts and lock holders from a
+// stream. BuildProfile runs it to the end of the stream; SampleIntervals
+// reads its running totals between events.
+type fold struct {
+	p          *Profile
+	cores      []profCore
+	lockHolder map[mem.LineAddr]int
+	// acquires, retries and nacks count lock outcomes.
+	acquires, retries, nacks int
+
+	lines    map[mem.LineAddr]*LineProfile
+	waiters  map[mem.LineAddr]map[int]bool
+	ars      map[int]*ARProfile
+	arOrder  []int
+	edges    map[edgeKey]*AbortEdge
+	retryLat metrics.Histogram
 }
 
 // BuildProfile folds a stream of events into the contention-attribution
-// profile. The stream needs only the always-on record kinds (attempts,
-// commits, locks, conflicts); mem/dir streams are ignored.
+// profile and the attempt spans. The stream needs only the always-on record
+// kinds (attempts, commits, locks, conflicts); mem/dir streams are ignored.
 func BuildProfile(meta Meta, evs []Event) *Profile {
-	p := &Profile{
-		Meta:              meta,
-		CommitsByMode:     make(map[stats.CommitMode]int),
-		AbortsByReason:    make(map[htm.AbortReason]int),
-		TicksLostByReason: make(map[htm.AbortReason]sim.Tick),
-	}
-	cores := make([]profCore, meta.Cores)
-	for i := range cores {
-		cores[i].waits = make(map[mem.LineAddr]waitInfo)
-	}
-	lockHolder := make(map[mem.LineAddr]int)
-	lines := make(map[mem.LineAddr]*LineProfile)
-	waiters := make(map[mem.LineAddr]map[int]bool)
-	ars := make(map[int]*ARProfile)
-	var arOrder []int
-	edges := make(map[edgeKey]*AbortEdge)
-	retryLat := &metrics.Histogram{}
-
-	lineOf := func(l mem.LineAddr) *LineProfile {
-		lp, ok := lines[l]
-		if !ok {
-			lp = &LineProfile{Line: l}
-			lines[l] = lp
-		}
-		return lp
-	}
-	arOf := func(id int) *ARProfile {
-		a, ok := ars[id]
-		if !ok {
-			a = &ARProfile{ProgID: id, Name: meta.ARName(id)}
-			ars[id] = a
-			arOrder = append(arOrder, id)
-		}
-		return a
-	}
-	// closeWait ends the open wait of core c on line at tick, crediting the
-	// line and AR profiles.
-	closeWait := func(c int, line mem.LineAddr, tick sim.Tick) {
-		s := &cores[c]
-		w, ok := s.waits[line]
-		if !ok {
-			return
-		}
-		delete(s.waits, line)
-		d := tick - w.start
-		p.LockWaitTicks += d
-		lp := lineOf(line)
-		lp.WaitTicks += d
-		if d > lp.MaxWait {
-			lp.MaxWait = d
-		}
-		if s.inAtt {
-			arOf(s.progID).LockWaitTicks += d
-		}
-	}
-	// fallbackCore finds the core currently executing a fallback-mode
-	// attempt (the global-lock holder), preferring the most recent start.
-	fallbackCore := func(victim int) int {
-		best, bestTick := -1, sim.Tick(0)
-		for i := range cores {
-			if i == victim || !cores[i].inAtt || cores[i].mode != cpu.ModeFallback {
-				continue
-			}
-			if best < 0 || cores[i].attStart >= bestTick {
-				best, bestTick = i, cores[i].attStart
-			}
-		}
-		return best
-	}
-
+	f := newFold(meta)
 	for _, e := range evs {
-		if e.Tick > p.LastTick {
-			p.LastTick = e.Tick
+		f.add(e)
+	}
+	return f.finish()
+}
+
+func newFold(meta Meta) *fold {
+	f := &fold{
+		p: &Profile{
+			Meta:              meta,
+			CommitsByMode:     make(map[stats.CommitMode]int),
+			AbortsByReason:    make(map[htm.AbortReason]int),
+			TicksLostByReason: make(map[htm.AbortReason]sim.Tick),
+		},
+		cores:      make([]profCore, meta.Cores),
+		lockHolder: make(map[mem.LineAddr]int),
+		lines:      make(map[mem.LineAddr]*LineProfile),
+		waiters:    make(map[mem.LineAddr]map[int]bool),
+		ars:        make(map[int]*ARProfile),
+		edges:      make(map[edgeKey]*AbortEdge),
+	}
+	for i := range f.cores {
+		f.cores[i].waits = make(map[mem.LineAddr]waitInfo)
+	}
+	return f
+}
+
+func (f *fold) lineOf(l mem.LineAddr) *LineProfile {
+	lp, ok := f.lines[l]
+	if !ok {
+		lp = &LineProfile{Line: l}
+		f.lines[l] = lp
+	}
+	return lp
+}
+
+func (f *fold) arOf(id int) *ARProfile {
+	a, ok := f.ars[id]
+	if !ok {
+		a = &ARProfile{ProgID: id, Name: f.p.Meta.ARName(id)}
+		f.ars[id] = a
+		f.arOrder = append(f.arOrder, id)
+	}
+	return a
+}
+
+// closeWait ends the open wait of core c on line at tick, crediting the
+// line and AR profiles and ending the wait's edge in the span.
+func (f *fold) closeWait(c int, line mem.LineAddr, tick sim.Tick, acquired bool) {
+	s := &f.cores[c]
+	w, ok := s.waits[line]
+	if !ok {
+		return
+	}
+	delete(s.waits, line)
+	if w.edge >= 0 {
+		s.span.Waits[w.edge].End = tick
+		s.span.Waits[w.edge].Acquired = acquired
+	}
+	d := tick - w.start
+	f.p.LockWaitTicks += d
+	lp := f.lineOf(line)
+	lp.WaitTicks += d
+	if d > lp.MaxWait {
+		lp.MaxWait = d
+	}
+	if s.inAtt {
+		f.arOf(s.span.ProgID).LockWaitTicks += d
+	}
+}
+
+// endAttempt ends core c's attempt at e, an abort or a commit: its open
+// waits close un-acquired, and its span, if one is in progress, is emitted.
+func (f *fold) endAttempt(c int, e Event) {
+	s := &f.cores[c]
+	for line := range s.waits {
+		f.closeWait(c, line, e.Tick, false)
+	}
+	if !s.inAtt {
+		return
+	}
+	s.inAtt = false
+	sp := &s.span
+	sp.End = e.Tick
+	sp.EndMode = e.Mode()
+	sp.Retries = e.Retries()
+	if e.Kind == KindCommit {
+		sp.Outcome = OutcomeCommit
+		sp.StoreLines = e.StoreLines()
+	} else {
+		sp.Outcome = OutcomeAbort
+		sp.Reason = e.Reason()
+		sp.NextMode = e.NextMode()
+		if pm, ok := e.ProposedMode(); ok {
+			sp.Proposed = pm
+			sp.Overridden = pm != e.NextMode()
 		}
-		c := int(e.Core)
-		if c >= len(cores) {
+	}
+	f.p.Spans = append(f.p.Spans, *sp)
+}
+
+// fallbackCore finds the core currently executing a fallback-mode attempt
+// (the global-lock holder), preferring the most recent start.
+func (f *fold) fallbackCore(victim int) int {
+	best, bestTick := -1, sim.Tick(0)
+	for i := range f.cores {
+		s := &f.cores[i]
+		if i == victim || !s.inAtt || s.span.StartMode != cpu.ModeFallback {
 			continue
 		}
-		s := &cores[c]
-		switch e.Kind {
-		case KindInvocationStart:
-			p.Invocations++
-			arOf(e.ProgID()).Invocations++
-			s.inInv = true
-			s.aborted = false
-		case KindAttemptStart:
-			p.Attempts++
-			s.inAtt = true
-			s.attStart = e.Tick
-			s.progID = e.ProgID()
-			s.mode = e.Mode()
-			s.confValid = false
-			s.nackValid = false
-			arOf(s.progID).Attempts++
-		case KindAttemptEnd:
-			p.Aborts++
-			reason := e.Reason()
-			p.AbortsByReason[reason]++
-			var dur sim.Tick
-			if s.inAtt {
-				dur = e.Tick - s.attStart
-			}
-			p.AbortedTicks += dur
-			p.TicksLostByReason[reason] += dur
-			ar := arOf(e.ProgID())
-			ar.Aborts++
-			ar.AbortedTicks += dur
-
-			aborter, via := attributeAbort(s, reason, fallbackCore, c)
-			if aborter >= 0 {
-				p.Attributed++
-			} else {
-				p.Unattributed++
-			}
-			k := edgeKey{aborter: aborter, victim: c, reason: reason, mode: e.Mode(), via: via}
-			ed, ok := edges[k]
-			if !ok {
-				ed = &AbortEdge{Aborter: aborter, Victim: c, Reason: reason, Mode: e.Mode(), Via: via}
-				edges[k] = ed
-			}
-			ed.Count++
-			ed.TicksLost += dur
-
-			for line := range s.waits {
-				closeWait(c, line, e.Tick)
-			}
-			s.inAtt = false
-			if !s.aborted {
-				s.aborted = true
-				s.firstAbort = e.Tick
-			}
-		case KindCommit:
-			p.Commits++
-			if m, ok := e.Mode().CommitMode(); ok {
-				p.CommitsByMode[m]++
-			}
-			ar := arOf(e.ProgID())
-			ar.Commits++
-			if s.inAtt {
-				ar.CommittedTicks += e.Tick - s.attStart
-			}
-			for line := range s.waits {
-				closeWait(c, line, e.Tick)
-			}
-			s.inAtt = false
-			if s.inInv && s.aborted {
-				retryLat.Observe(uint64(e.Tick - s.firstAbort))
-			}
-			s.inInv = false
-			s.aborted = false
-		case KindConflict:
-			lineOf(e.Line()).Conflicts++
-			if s.inAtt {
-				s.confValid = true
-				s.confFrom = e.Requester()
-			}
-		case KindLock:
-			line := e.Line()
-			lp := lineOf(line)
-			switch e.LockOutcome() {
-			case LockOK:
-				lp.Acquires++
-				closeWait(c, line, e.Tick)
-				lockHolder[line] = c
-			case LockRetry:
-				lp.Retries++
-				holder := e.LockHolder()
-				if holder < 0 {
-					if h, ok := lockHolder[line]; ok {
-						holder = h
-					}
-				}
-				if _, waiting := s.waits[line]; !waiting {
-					s.waits[line] = waitInfo{start: e.Tick, holder: holder}
-					if waiters[line] == nil {
-						waiters[line] = make(map[int]bool)
-					}
-					waiters[line][c] = true
-				} else if holder >= 0 {
-					w := s.waits[line]
-					w.holder = holder
-					s.waits[line] = w
-				}
-			case LockNack:
-				lp.Nacks++
-				if holder := e.LockHolder(); holder >= 0 {
-					s.nackValid = true
-					s.nackFrom = holder
-				}
-				closeWait(c, line, e.Tick)
-			}
-		case KindUnlock:
-			if lockHolder[e.Line()] == c {
-				delete(lockHolder, e.Line())
-			}
+		if best < 0 || s.span.Start >= bestTick {
+			best, bestTick = i, s.span.Start
 		}
 	}
-	// Close whatever the (possibly truncated) stream left open.
-	for c := range cores {
-		for line := range cores[c].waits {
-			closeWait(c, line, p.LastTick)
+	return best
+}
+
+// add folds one event.
+func (f *fold) add(e Event) {
+	p := f.p
+	if e.Tick > p.LastTick {
+		p.LastTick = e.Tick
+	}
+	c := int(e.Core)
+	if c >= len(f.cores) {
+		return
+	}
+	s := &f.cores[c]
+	switch e.Kind {
+	case KindInvocationStart:
+		p.Invocations++
+		f.arOf(e.ProgID()).Invocations++
+		s.inInv = true
+		s.aborted = false
+	case KindAttemptStart:
+		p.Attempts++
+		if s.inAtt {
+			// The stream lost this attempt's end: its span stays open and
+			// takes no later lock event.
+			p.Spans = append(p.Spans, s.span)
+			for line, w := range s.waits {
+				w.edge = -1
+				s.waits[line] = w
+			}
+		}
+		s.inAtt = true
+		s.span = Span{
+			Core:      c,
+			ProgID:    e.ProgID(),
+			Attempt:   e.Attempt(),
+			Start:     e.Tick,
+			StartMode: e.Mode(),
+			EndMode:   e.Mode(),
+			Outcome:   OutcomeOpen,
+			Retries:   e.Retries(),
+			Footprint: e.FootprintLen(),
+		}
+		s.confValid = false
+		s.nackValid = false
+		f.arOf(s.span.ProgID).Attempts++
+	case KindAttemptEnd:
+		p.Aborts++
+		reason := e.Reason()
+		p.AbortsByReason[reason]++
+		var dur sim.Tick
+		if s.inAtt {
+			dur = e.Tick - s.span.Start
+		}
+		p.AbortedTicks += dur
+		p.TicksLostByReason[reason] += dur
+		ar := f.arOf(e.ProgID())
+		ar.Aborts++
+		ar.AbortedTicks += dur
+
+		aborter, via := f.attributeAbort(s, reason, c)
+		if aborter >= 0 {
+			p.Attributed++
+		} else {
+			p.Unattributed++
+		}
+		k := edgeKey{aborter: aborter, victim: c, reason: reason, mode: e.Mode(), via: via}
+		ed, ok := f.edges[k]
+		if !ok {
+			ed = &AbortEdge{Aborter: aborter, Victim: c, Reason: reason, Mode: e.Mode(), Via: via}
+			f.edges[k] = ed
+		}
+		ed.Count++
+		ed.TicksLost += dur
+
+		f.endAttempt(c, e)
+		if !s.aborted {
+			s.aborted = true
+			s.firstAbort = e.Tick
+		}
+	case KindCommit:
+		p.Commits++
+		if m, ok := e.Mode().CommitMode(); ok {
+			p.CommitsByMode[m]++
+		}
+		ar := f.arOf(e.ProgID())
+		ar.Commits++
+		if s.inAtt {
+			ar.CommittedTicks += e.Tick - s.span.Start
+		}
+		f.endAttempt(c, e)
+		if s.inInv && s.aborted {
+			f.retryLat.Observe(uint64(e.Tick - s.firstAbort))
+		}
+		s.inInv = false
+		s.aborted = false
+	case KindConflict:
+		f.lineOf(e.Line()).Conflicts++
+		if s.inAtt {
+			s.confValid = true
+			s.confFrom = e.Requester()
+		}
+	case KindLock:
+		line := e.Line()
+		lp := f.lineOf(line)
+		switch e.LockOutcome() {
+		case LockOK:
+			lp.Acquires++
+			f.acquires++
+			f.closeWait(c, line, e.Tick, true)
+			f.lockHolder[line] = c
+		case LockRetry:
+			lp.Retries++
+			f.retries++
+			// Prefer the event-carried holder (exact, from the directory);
+			// fall back to the reconstructed map for older traces.
+			holder := e.LockHolder()
+			if holder < 0 {
+				if h, ok := f.lockHolder[line]; ok {
+					holder = h
+				}
+			}
+			w, waiting := s.waits[line]
+			if !waiting {
+				w = waitInfo{start: e.Tick, holder: holder, edge: -1}
+				if f.waiters[line] == nil {
+					f.waiters[line] = make(map[int]bool)
+				}
+				f.waiters[line][c] = true
+			} else if holder >= 0 {
+				w.holder = holder
+			}
+			if s.inAtt {
+				if w.edge < 0 {
+					// The edge keeps the holder seen when it opened.
+					w.edge = len(s.span.Waits)
+					s.span.Waits = append(s.span.Waits, Wait{Line: line, Holder: holder, Start: e.Tick, End: e.Tick})
+				} else {
+					// Extend the open edge to the latest retry tick.
+					s.span.Waits[w.edge].End = e.Tick
+				}
+			}
+			s.waits[line] = w
+		case LockNack:
+			lp.Nacks++
+			f.nacks++
+			if holder := e.LockHolder(); holder >= 0 {
+				s.nackValid = true
+				s.nackFrom = holder
+			}
+			f.closeWait(c, line, e.Tick, false)
+		}
+	case KindUnlock:
+		if f.lockHolder[e.Line()] == c {
+			delete(f.lockHolder, e.Line())
 		}
 	}
+}
 
-	for l, lp := range lines {
-		lp.Waiters = len(waiters[l])
+// finish closes whatever the (possibly truncated) stream left open, the
+// waits at the last tick and the attempts as open spans, and sorts the
+// tables.
+func (f *fold) finish() *Profile {
+	p := f.p
+	for c := range f.cores {
+		for line := range f.cores[c].waits {
+			f.closeWait(c, line, p.LastTick, false)
+		}
+		if f.cores[c].inAtt {
+			p.Spans = append(p.Spans, f.cores[c].span)
+		}
 	}
-	p.Edges = sortEdges(edges)
-	p.Lines = sortLines(lines)
-	sort.Ints(arOrder)
-	for _, id := range arOrder {
-		p.ARs = append(p.ARs, *ars[id])
+	for l, lp := range f.lines {
+		lp.Waiters = len(f.waiters[l])
 	}
-	p.RetryLatency = metrics.Summarize("retry_to_commit_ticks", "", retryLat)
+	p.Edges = sortEdges(f.edges)
+	p.Lines = sortLines(f.lines)
+	sort.Ints(f.arOrder)
+	for _, id := range f.arOrder {
+		p.ARs = append(p.ARs, *f.ars[id])
+	}
+	p.RetryLatency = metrics.Summarize("retry_to_commit_ticks", "", &f.retryLat)
 	return p
 }
 
@@ -360,7 +470,7 @@ func BuildProfile(meta Meta, evs []Event) *Profile {
 // a direct conflict event beats wait-chain attribution beats a NACK holder;
 // fallback-subscription aborts attribute to the fallback-mode core; the
 // rest are self-inflicted or unknown.
-func attributeAbort(s *profCore, reason htm.AbortReason, fallbackCore func(int) int, victim int) (int, string) {
+func (f *fold) attributeAbort(s *profCore, reason htm.AbortReason, victim int) (int, string) {
 	switch reason {
 	case htm.AbortMemoryConflict:
 		if s.confValid {
@@ -382,7 +492,7 @@ func attributeAbort(s *profCore, reason htm.AbortReason, fallbackCore func(int) 
 		}
 		return -1, ""
 	case htm.AbortExplicitFallback, htm.AbortOtherFallback:
-		if h := fallbackCore(victim); h >= 0 {
+		if h := f.fallbackCore(victim); h >= 0 {
 			return h, "fallback"
 		}
 		return -1, "fallback"

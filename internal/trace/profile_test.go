@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cpu"
@@ -195,6 +196,60 @@ func TestProfileTruncatedStream(t *testing.T) {
 	p := BuildProfile(meta, evs)
 	if p.LockWaitTicks != 40 {
 		t.Fatalf("truncated wait: %d ticks", p.LockWaitTicks)
+	}
+}
+
+// TestProfileSpanWaitHolders pins the rules the fold keeps for lock-wait
+// edges, one core each: an edge keeps the holder seen when its wait opened
+// and ends un-acquired at the abort, while abort attribution blames the
+// latest holder (core 0); a second attempt start emits the still-open span
+// as open, and later lock events stay out of it (core 1); a wait opened
+// before the span started is not one of its edges, but LockWaitTicks
+// counts it (cores 1 and 2).
+func TestProfileSpanWaitHolders(t *testing.T) {
+	meta := Meta{Cores: 4}
+	evs := []Event{
+		pAttempt(0, 0, 1, cpu.ModeNSCL),
+		pAttempt(0, 1, 1, cpu.ModeSpeculative),
+		pLock(5, 1, 9, LockRetry, 0),
+		pLock(10, 0, 7, LockRetry, 1),
+		pLock(20, 0, 7, LockRetry, 2),
+		pAbort(40, 0, 1, cpu.ModeNSCL, htm.AbortMemoryConflict),
+		pAttempt(50, 1, 2, cpu.ModeNSCL), // core 1's first attempt never ended
+		pLock(60, 1, 9, LockRetry, 0),
+		pLock(70, 1, 9, LockOK, -1),
+		pCommit(80, 1, 2, cpu.ModeNSCL),
+		pLock(100, 2, 11, LockRetry, 3), // outside any attempt
+		pAttempt(110, 2, 1, cpu.ModeNSCL),
+		pLock(130, 2, 11, LockOK, -1),
+		pCommit(150, 2, 1, cpu.ModeNSCL),
+	}
+	p := BuildProfile(meta, evs)
+	want := []struct {
+		core    int
+		outcome Outcome
+		waits   []Wait
+	}{
+		{0, OutcomeAbort, []Wait{{Line: 7, Holder: 1, Start: 10, End: 40}}},
+		{1, OutcomeOpen, []Wait{{Line: 9, Holder: 0, Start: 5, End: 5}}},
+		{1, OutcomeCommit, []Wait{{Line: 9, Holder: 0, Start: 60, End: 70, Acquired: true}}},
+		{2, OutcomeCommit, nil},
+	}
+	if len(p.Spans) != len(want) {
+		t.Fatalf("want %d spans, got %+v", len(want), p.Spans)
+	}
+	for i, w := range want {
+		s := p.Spans[i]
+		if s.Core != w.core || s.Outcome != w.outcome || !reflect.DeepEqual(s.Waits, w.waits) {
+			t.Errorf("span %d: core %d %s waits %+v; want core %d %s waits %+v",
+				i, s.Core, s.Outcome, s.Waits, w.core, w.outcome, w.waits)
+		}
+	}
+	if e := findEdge(t, p, 2, 0, "lock-holder"); e.Count != 1 {
+		t.Errorf("wait-chain edge: %+v", e)
+	}
+	if p.LockWaitTicks != 30+65+30 {
+		t.Errorf("lock wait ticks: %d, want 125", p.LockWaitTicks)
 	}
 }
 

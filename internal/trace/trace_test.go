@@ -286,22 +286,22 @@ func syntheticTrace(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestTimelineLockWaits checks the reconstructor attributes lock waits to
+// TestTimelineLockWaits checks the profile's spans attribute lock waits to
 // the holding core.
 func TestTimelineLockWaits(t *testing.T) {
 	meta, evs := makeSyntheticStream(t)
-	tl := BuildTimeline(meta, evs)
-	if len(tl.Spans) != 2 {
-		t.Fatalf("want 2 spans, got %d: %+v", len(tl.Spans), tl.Spans)
+	p := BuildProfile(meta, evs)
+	if len(p.Spans) != 2 {
+		t.Fatalf("want 2 spans, got %d: %+v", len(p.Spans), p.Spans)
 	}
 	var beta *Span
-	for i := range tl.Spans {
-		if tl.Spans[i].ProgID == 2 {
-			beta = &tl.Spans[i]
+	for i := range p.Spans {
+		if p.Spans[i].ProgID == 2 {
+			beta = &p.Spans[i]
 		}
 	}
 	if beta == nil || beta.Outcome != OutcomeCommit {
-		t.Fatalf("beta span missing/uncommitted: %+v", tl.Spans)
+		t.Fatalf("beta span missing/uncommitted: %+v", p.Spans)
 	}
 	if len(beta.Waits) != 1 {
 		t.Fatalf("want 1 wait edge on beta, got %d", len(beta.Waits))
@@ -310,7 +310,7 @@ func TestTimelineLockWaits(t *testing.T) {
 	if w.Line != 5 || w.Holder != 0 || !w.Acquired {
 		t.Fatalf("wait edge mismatch: %+v", w)
 	}
-	per := BuildProfile(meta, evs).ARs
+	per := p.ARs
 	if len(per) != 2 || per[0].Name != "alpha" || per[1].Name != "beta" {
 		t.Fatalf("per-AR mismatch: %+v", per)
 	}
@@ -360,13 +360,12 @@ func TestFilterEvents(t *testing.T) {
 // required trace-event fields.
 func TestPerfettoSchema(t *testing.T) {
 	meta, evs := makeSyntheticStream(t)
-	tl := BuildTimeline(meta, evs)
 	samples, err := SampleIntervals(meta, evs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tl, samples); err != nil {
+	if err := WritePerfetto(&buf, BuildProfile(meta, evs), samples); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -396,13 +395,13 @@ func TestPerfettoSchema(t *testing.T) {
 // span/event.
 func TestExportCSV(t *testing.T) {
 	meta, evs := makeSyntheticStream(t)
-	tl := BuildTimeline(meta, evs)
+	p := BuildProfile(meta, evs)
 	var buf bytes.Buffer
-	if err := WriteSpanCSV(&buf, tl); err != nil {
+	if err := WriteSpanCSV(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 1+len(tl.Spans) {
-		t.Fatalf("span CSV lines: want %d, got %d", 1+len(tl.Spans), lines)
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 1+len(p.Spans) {
+		t.Fatalf("span CSV lines: want %d, got %d", 1+len(p.Spans), lines)
 	}
 	buf.Reset()
 	if err := WriteEventCSV(&buf, meta, evs); err != nil {

@@ -39,11 +39,21 @@ cmds=(
   "cleartrace record -mem -bench bayes -config W -cores 32 -ops 8 -seed 1 -o bayes.trace"
   "cleartrace summary labyrinth.trace"
   "cleartrace profile -json labyrinth.trace"
+  "cleartrace timeline labyrinth.trace"
+  "cleartrace metrics -interval 5000 labyrinth.trace"
+  "cleartrace export -format perfetto -interval 10000 -o labyrinth.json labyrinth.trace"
+  "cleartrace export -format csv -o labyrinth.csv labyrinth.trace"
+  "cleartrace verify labyrinth.trace"
   "cleartrace summary bayes.trace"
   "cleartrace profile -json bayes.trace"
+  "cleartrace timeline bayes.trace"
+  "cleartrace metrics -interval 5000 bayes.trace"
+  "cleartrace export -format perfetto -interval 10000 -o bayes.json bayes.trace"
+  "cleartrace export -format csv -o bayes.csv bayes.trace"
+  "cleartrace verify bayes.trace"
 )
 # Files the list writes, compared byte for byte.
-files=(quick.csv labyrinth.trace bayes.trace)
+files=(quick.csv labyrinth.trace bayes.trace labyrinth.json labyrinth.csv bayes.json bayes.csv)
 
 mkdir -p "$tmp/src" "$tmp/rev/bin" "$tmp/rev/work" "$tmp/tree/bin" "$tmp/tree/work"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
