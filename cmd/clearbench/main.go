@@ -200,8 +200,8 @@ func main() {
 		return
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM stops dispatching new
-	// matrix cells (runs in flight finish) and the partial matrix is still
+	// Graceful shutdown: the first SIGINT/SIGTERM stops the workers claiming
+	// new matrix cells (runs in flight finish) and the partial matrix is still
 	// reported — and, with -cache-dir, every completed cell is already
 	// persisted, so re-running with -resume picks up where this left off; a
 	// second signal kills the process through the default handler.

@@ -2,9 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -325,5 +329,56 @@ func TestRetrySweepTable(t *testing.T) {
 	}
 	if got, want := strings.Join(strings.Fields(lines[2]), " "), "hashmap C 300 200* 200 -"; got != want {
 		t.Fatalf("sweep row %q, want %q", got, want)
+	}
+}
+
+// TestMatrixParallelismByteIdentical runs one fake-runner matrix on 1, 2 and
+// 8 workers. Every run sleeps a random while, so cells finish out of order;
+// some runs fail, one cell fails on every seed, and cycles take three values,
+// so retry limits (listed out of order) tie often. The CSV, the failure list,
+// the retry-sweep table and the cache counts must not depend on the width.
+func TestMatrixParallelismByteIdentical(t *testing.T) {
+	opts := MatrixOptions{
+		Benchmarks:  []string{"sorted-list", "hashmap", "bitcoin"},
+		Configs:     []ConfigID{ConfigB, ConfigC, ConfigW},
+		Cores:       4,
+		Seeds:       []uint64{1, 2, 3},
+		RetryLimits: []int{8, 1, 4, 2},
+		Runner: func(p RunParams) (*RunResult, *RunFailure, bool) {
+			time.Sleep(time.Duration(rand.IntN(300)) * time.Microsecond)
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%s/%s/%d/%d", p.Benchmark, p.Config, p.RetryLimit, p.Seed)
+			v := h.Sum64()
+			if v%5 == 0 || p.Benchmark == "bitcoin" && p.Config == ConfigW && p.RetryLimit == 8 {
+				return nil, p.Failure("injected"), false
+			}
+			s := &stats.Run{Cycles: sim.Tick(100 + v%3*10), Commits: 10 + v%4, Aborts: v % 6}
+			return &RunResult{Params: p, Stats: s, Energy: float64(v % 97)}, nil, v%2 == 0
+		},
+	}
+	var want string
+	for _, par := range []int{1, 2, 8} {
+		opts.Parallelism = par
+		m, err := RunMatrix(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Failures) < len(opts.Seeds) {
+			t.Fatalf("%d failures, want at least the failing cell's %d", len(m.Failures), len(opts.Seeds))
+		}
+		var buf bytes.Buffer
+		if err := m.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range m.Failures {
+			fmt.Fprintln(&buf, f.String())
+		}
+		m.PrintRetrySweep(&buf)
+		fmt.Fprintf(&buf, "cache: %d hits, %d misses\n", m.CacheHits, m.CacheMisses)
+		if par == 1 {
+			want = buf.String()
+		} else if got := buf.String(); got != want {
+			t.Fatalf("Parallelism %d:\n%s\nParallelism 1:\n%s", par, got, want)
+		}
 	}
 }

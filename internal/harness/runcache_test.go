@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -349,6 +350,7 @@ func TestLookupCachedQuarantines(t *testing.T) {
 		{"not JSON", []byte("not json at all")},
 		{"no stats", []byte(`{"spec":"runspec/v1","energy":1}`)},
 		{"unknown member", []byte(`{"ok":true}`)},
+		{"empty", []byte{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			key := p.Spec().Key()
@@ -462,15 +464,22 @@ func TestMatrixResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First pass: cancelled before dispatch finishes. A pre-closed Cancel
-	// channel makes every dispatch a coin flip (select picks randomly between
-	// the closed channel and the job send), so a random prefix of the cells
-	// runs and lands in the store.
-	cancelled := opts
-	cancelled.Store = st
+	// First pass: the runner closes Cancel after its first n runs. Each of
+	// the two workers finishes the cell it holds and claims no other, so
+	// at least n and at most n+1 of the runs land in the store.
+	const n = 3
 	cancel := make(chan struct{})
-	close(cancel)
+	var runs atomic.Int32
+	cancelled := opts
+	cancelled.Parallelism = 2
 	cancelled.Cancel = cancel
+	cancelled.Runner = func(p RunParams) (*RunResult, *RunFailure, bool) {
+		res, fail, hit := RunCheckedCached(st, p)
+		if runs.Add(1) == n {
+			close(cancel)
+		}
+		return res, fail, hit
+	}
 	if _, err := RunMatrix(cancelled); err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +492,9 @@ func TestMatrixResumeByteIdentical(t *testing.T) {
 	total := len(opts.Benchmarks) * len(opts.Configs) * len(opts.RetryLimits) * len(opts.Seeds)
 	if m.CacheHits+m.CacheMisses != total {
 		t.Fatalf("resumed sweep consulted the cache %d times, want %d", m.CacheHits+m.CacheMisses, total)
+	}
+	if m.CacheHits < n || m.CacheMisses == 0 {
+		t.Fatalf("resumed sweep: %d hits, %d misses; want at least %d hits and a miss", m.CacheHits, m.CacheMisses, n)
 	}
 	if !bytes.Equal(refCSV, resumedCSV) {
 		t.Fatal("resumed sweep CSV differs from the uninterrupted reference")

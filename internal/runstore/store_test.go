@@ -1,6 +1,8 @@
 package runstore
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -158,6 +160,52 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 				t.Fatalf("quarantined corpse removed by repair: %v", err)
 			}
 		})
+	}
+}
+
+// TestStoreGetReadEdges covers readFile's edges. Records larger than its
+// 4 KiB stack buffer, or exactly filling it, come back byte for byte. An
+// empty record is a hit with an empty payload: the store does not judge
+// it, and the harness's decoder quarantines it. A directory where a record
+// should be is an error, not a miss, and a missing key, with or without
+// its shard directory, stays a plain miss.
+func TestStoreGetReadEdges(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 4095, 4096, 4097, 3*4096 + 17} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*7 + i>>8)
+		}
+		if err := st.Put(keyA, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := st.Get(keyA); err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte record: Get = %d bytes, %v, %v; want it byte for byte", size, len(got), ok, err)
+		}
+	}
+
+	if err := st.Put(keyA, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := st.Get(keyA); err != nil || !ok || len(got) != 0 {
+		t.Fatalf("empty record: Get = %q, %v, %v; want a hit with an empty payload", got, ok, err)
+	}
+
+	if err := os.MkdirAll(filepath.Join(st.Dir(), keyB[:2], keyB+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var pathErr *os.PathError
+	if got, ok, err := st.Get(keyB); ok || got != nil || !errors.As(err, &pathErr) {
+		t.Fatalf("directory as record: Get = %q, %v, %v; want an *os.PathError", got, ok, err)
+	}
+
+	for _, key := range []string{keyA[:63] + "0", "ee" + keyA[2:]} {
+		if got, ok, err := st.Get(key); ok || got != nil || err != nil {
+			t.Fatalf("missing key %s: Get = %q, %v, %v; want a plain miss", key, got, ok, err)
+		}
 	}
 }
 

@@ -333,13 +333,16 @@ func (e Event) StoreLines() int {
 
 // packCounts packs a (low, high) uint32 pair for attempt-start/commit Arg3.
 func packCounts(low, high int) uint64 {
-	if low > maxTrackedUint32 {
-		low = maxTrackedUint32
+	return uint64(clampUint32(low)) | uint64(clampUint32(high))<<packedHighShift
+}
+
+// clampUint32 caps n at maxTrackedUint32. It compares as int64, because the
+// cap does not fit a 32-bit int.
+func clampUint32(n int) uint32 {
+	if int64(n) > maxTrackedUint32 {
+		return maxTrackedUint32
 	}
-	if high > maxTrackedUint32 {
-		high = maxTrackedUint32
-	}
-	return uint64(uint32(low)) | uint64(uint32(high))<<packedHighShift
+	return uint32(n)
 }
 
 // FaultKind returns the injected fault class of a KindFault event.
