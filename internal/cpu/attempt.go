@@ -437,43 +437,79 @@ func (c *Core) effectiveCLMode(m clear.RetryMode) clear.RetryMode {
 	return m
 }
 
-// commitSpeculative finishes a successful speculative (or conflict-free
-// discovery) attempt. The commit point is *now*: the Halt step verified no
-// abort is pending, so the buffered stores become globally visible
-// immediately and the transactional sets are dropped — a remote request
+// commitNow finishes a successful attempt, the counterpart of abortNow.
+// The commit point comes first. A speculative or CL attempt's Halt step
+// verified that no abort is pending, so its buffered stores become globally
+// visible at once and its transactional sets are dropped: a remote request
 // arriving during the drain delay must not abort an already-committed
-// transaction. The drain latency only delays this core.
-func (c *Core) commitSpeculative() {
+// transaction. A CL attempt then releases its cacheline locks in bulk
+// (§5.1) and its fallback read lock. A fallback execution's stores already
+// reached memory, so its commit point is the write-lock release. The
+// bookkeeping every mode shares follows, then the end of the invocation:
+// after the drain latency, which only delays this core, or at once for a
+// fallback execution.
+func (c *Core) commitNow() {
+	mode := c.mode
+	kind, _ := mode.CommitMode()
 	drain := c.m.Cfg.CommitStoreLat * sim.Tick(len(c.sq))
+	// Discovery observation ends with the attempt.
+	c.disc.Disable()
 	if c.m.probe != nil {
 		c.m.probe.OnCommit(CommitInfo{
 			Core:            c.id,
 			ProgID:          c.inv.Prog.ID,
 			Attempt:         c.attempt,
-			Mode:            c.mode,
+			Mode:            mode,
 			ConflictRetries: c.conflictRetries,
-			StoreLines:      c.storeLinesForProbe(),
+			// Nil for fallback: its stores wrote memory directly.
+			StoreLines: c.storeLinesForProbe(),
 		})
 	}
-	c.applySQ()
-	c.clearTxSets()
-	c.disc.Disable()
-	c.mode = ModeIdle
-	if c.power {
-		c.m.Power.Release(c.id)
-		c.power = false
-	}
-	if c.ertEntry != nil {
-		c.ertEntry.NoteCommit()
+	if mode == ModeFallback {
+		c.m.Fallback.ReleaseWrite(c.id)
+		c.m.wakeLockWaiters()
+	} else {
+		c.applySQ()
+		c.clearTxSets()
+		if mode != ModeSpeculative {
+			// Consume the CRT hints this execution used: the conflicts
+			// they guarded against did not recur.
+			for _, e := range c.disc.ALT.Entries() {
+				if e.NeedsLocking && !e.Written {
+					c.crt.Remove(e.Addr)
+				}
+			}
+			c.m.Dir.UnlockAll(c.id)
+			c.unpinAll()
+		}
+		c.mode = ModeIdle
+		c.releaseReadLock()
+		if c.power {
+			c.m.Power.Release(c.id)
+			c.power = false
+		}
+		if c.ertEntry != nil {
+			c.ertEntry.NoteCommit()
+		}
 	}
 	c.pol.OnCommit(policy.Outcome{
 		ProgID:          c.inv.Prog.ID,
-		Mode:            policy.ExecSpeculative,
+		Mode:            execModeOf(mode),
 		ConflictRetries: c.conflictRetries,
 	})
 	c.m.Stats.Instructions += c.attemptInstr
-	c.m.Stats.RecordCommit(stats.CommitSpeculative, c.conflictRetries)
+	c.m.Stats.RecordCommit(kind, c.conflictRetries)
+	if kind != stats.CommitSpeculative {
+		// The per-AR table leaves speculative commits out. It is part of
+		// Stats.Digest, so counting them moves every digest and waits for
+		// the next DigestSchemaVersion.
+		c.m.Stats.RecordCommitAR(c.inv.Prog.ID, c.inv.Prog.Name, kind)
+	}
 	c.recordFig1Attempt(true)
+	if mode == ModeFallback {
+		c.finishInvocation()
+		return
+	}
 	c.engine().Schedule(drain, c.finishInvFn)
 }
 

@@ -4,8 +4,6 @@ import (
 	"repro/internal/coherence"
 	clear "repro/internal/core"
 	"repro/internal/htm"
-	"repro/internal/policy"
-	"repro/internal/stats"
 )
 
 // beginCLAttempt starts an NS-CL or S-CL re-execution (Figures 3 and 4):
@@ -107,55 +105,3 @@ func (c *Core) lockWalk(i int) {
 // it resumes at the saved table index (a typed event record rather than a
 // fresh closure per scheduled step).
 func (c *Core) resumeLockWalk() { c.lockWalk(c.walkIdx) }
-
-// commitCL finishes a successful NS-CL or S-CL execution: the buffered
-// stores land while every written line is still cacheline-locked, then the
-// bulk unlock (§5.1) and the fallback read-lock release happen atomically at
-// the commit point. Only the drain latency is charged afterwards.
-func (c *Core) commitCL() {
-	drain := c.m.Cfg.CommitStoreLat * simTick(len(c.sq))
-	mode := stats.CommitNSCL
-	if c.mode == ModeSCL {
-		mode = stats.CommitSCL
-	}
-	if c.m.probe != nil {
-		c.m.probe.OnCommit(CommitInfo{
-			Core:            c.id,
-			ProgID:          c.inv.Prog.ID,
-			Attempt:         c.attempt,
-			Mode:            c.mode,
-			ConflictRetries: c.conflictRetries,
-			StoreLines:      c.storeLinesForProbe(),
-		})
-	}
-	c.applySQ()
-	c.clearTxSets()
-	// Consume the CRT hints this execution used: the conflicts they
-	// guarded against did not recur.
-	for _, e := range c.disc.ALT.Entries() {
-		if e.NeedsLocking && !e.Written {
-			c.crt.Remove(e.Addr)
-		}
-	}
-	c.m.Dir.UnlockAll(c.id)
-	c.unpinAll()
-	c.mode = ModeIdle
-	c.releaseReadLock()
-	if c.ertEntry != nil {
-		c.ertEntry.NoteCommit()
-	}
-	execMode := policy.ExecNSCL
-	if mode == stats.CommitSCL {
-		execMode = policy.ExecSCL
-	}
-	c.pol.OnCommit(policy.Outcome{
-		ProgID:          c.inv.Prog.ID,
-		Mode:            execMode,
-		ConflictRetries: c.conflictRetries,
-	})
-	c.m.Stats.Instructions += c.attemptInstr
-	c.m.Stats.RecordCommit(mode, c.conflictRetries)
-	c.m.Stats.RecordCommitAR(c.inv.Prog.ID, c.inv.Prog.Name, mode)
-	c.recordFig1Attempt(true)
-	c.engine().Schedule(drain, c.finishInvFn)
-}

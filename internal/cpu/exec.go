@@ -232,18 +232,13 @@ func (c *Core) doXAbort() {
 
 func (c *Core) doHalt() {
 	switch c.mode {
-	case ModeSpeculative:
-		c.disc.Disable()
-		c.commitSpeculative()
+	case ModeSpeculative, ModeSCL, ModeNSCL, ModeFallback:
+		c.commitNow()
 	case ModeFailedDiscovery:
 		c.disc.ReachedEnd = true
 		c.m.Stats.DiscoveryCycles += c.engine().Now() - c.discStart
 		c.discStart = c.engine().Now() // avoid double count in abortNow
 		c.abortNow(c.heldReason)
-	case ModeSCL, ModeNSCL:
-		c.commitCL()
-	case ModeFallback:
-		c.commitFallback()
 	default:
 		panic(fmt.Sprintf("cpu: core %d halt in mode %v", c.id, c.mode))
 	}

@@ -2,13 +2,8 @@ package cpu
 
 import (
 	"repro/internal/coherence"
-	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
-
-// simTick converts a length to a tick count for latency arithmetic.
-func simTick(n int) sim.Tick { return sim.Tick(n) }
 
 // enterFallback takes the global-lock path (decision 0 of §4.3): announce a
 // writer claim (blocking new CL read-lockers), wait for the lock, invalidate
@@ -63,31 +58,4 @@ func (c *Core) tryAcquireFallbackWrite() {
 	res := c.m.Dir.Write(c.id, c.m.Fallback.Line, coherence.ReqAttrs{NonSpec: true})
 	c.m.Stats.FallbackAcquisitions++
 	c.engine().Schedule(res.Latency, c.stepFn)
-}
-
-// commitFallback finishes a fallback execution: stores already reached
-// memory, so only the lock release remains.
-func (c *Core) commitFallback() {
-	if c.m.probe != nil {
-		c.m.probe.OnCommit(CommitInfo{
-			Core:            c.id,
-			ProgID:          c.inv.Prog.ID,
-			Attempt:         c.attempt,
-			Mode:            ModeFallback,
-			ConflictRetries: c.conflictRetries,
-			// StoreLines nil: fallback stores write memory directly.
-		})
-	}
-	c.m.Fallback.ReleaseWrite(c.id)
-	c.m.wakeLockWaiters()
-	c.pol.OnCommit(policy.Outcome{
-		ProgID:          c.inv.Prog.ID,
-		Mode:            policy.ExecFallback,
-		ConflictRetries: c.conflictRetries,
-	})
-	c.m.Stats.Instructions += c.attemptInstr
-	c.m.Stats.RecordCommit(stats.CommitFallback, c.conflictRetries)
-	c.m.Stats.RecordCommitAR(c.inv.Prog.ID, c.inv.Prog.Name, stats.CommitFallback)
-	c.recordFig1Attempt(true)
-	c.finishInvocation()
 }

@@ -131,7 +131,13 @@ type CheckOpts struct {
 // CheckEvents extracts the committed execution from an event stream and
 // checks it. The stream must carry memory accesses (Options.MemAccesses).
 func CheckEvents(events []trace.Event, o CheckOpts) Verdict {
-	v := CheckARs(trace.CommittedARs(events), o)
+	return checkStream(events, trace.CommittedARs(events), o)
+}
+
+// checkStream checks ars, the committed execution already extracted from
+// events, and the order of the stream's commit records.
+func checkStream(events []trace.Event, ars []trace.CommittedAR, o CheckOpts) Verdict {
+	v := CheckARs(ars, o)
 	var prev sim.Tick
 	for _, e := range events {
 		if e.Kind != trace.KindCommit {

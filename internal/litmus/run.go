@@ -187,8 +187,8 @@ func Run(t *Test, opts RunOpts) RunResult {
 		return res
 	}
 
-	res.Verdict = CheckEvents(events, CheckOpts{AddrName: t.AddrName})
 	ars := trace.CommittedARs(events)
+	res.Verdict = checkStream(events, ars, CheckOpts{AddrName: t.AddrName})
 	res.Outcome, res.Err = t.outcomeFromARs(ars, comp)
 	if res.Err == nil {
 		res.Forbidden = !t.AllowedSet()[res.Outcome]

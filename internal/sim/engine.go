@@ -12,15 +12,16 @@
 // structures are chosen for zero steady-state allocation:
 //
 //   - Near-future events (delay < laneTicks, the dominant 0/1/L1-hit
-//     delays) go to a ring of per-tick FIFO buckets ("fast lane") and never
-//     touch the heap. Appending to a bucket reuses its backing array.
-//   - Far-future events go to a monomorphic binary min-heap of
-//     heapEvent values: no container/heap, no interface boxing, no
-//     per-push allocation.
+//     delays) go to a ring of per-tick FIFO buckets ("fast lane").
+//     Appending to a bucket reuses its backing array.
+//   - Far-future events wait unordered in a short far list, its earliest
+//     tick cached. A batch that starts within laneTicks of that tick first
+//     moves every far event now inside the horizon into its bucket, so the
+//     lane is the one ordered structure for events.
 //   - Queued events hold no pointers. Each callback is registered once
 //     (Register) and an Event is its handle in the engine's table, so a
 //     lane entry is one word, sequence number above handle, with the tick
-//     implied by its bucket, and a heap entry adds the tick. The collector
+//     implied by its bucket, and a far entry adds the tick. The collector
 //     never scans the queue, appends take no write barrier, and drained
 //     slots need no clearing.
 //   - A waiter that re-polls a condition only a Wake can make true (a core
@@ -62,28 +63,20 @@ const (
 // noKey sorts after every key.
 const noKey = ^uint64(0)
 
-// heapEvent is a far-future event: its tick and its key.
-type heapEvent struct {
+// farEvent is an event due laneTicks or more past the tick it was
+// scheduled at: its tick and its key.
+type farEvent struct {
 	at  Tick
 	key uint64
 }
 
-// less is the total event order: earlier tick first, then earlier sequence
-// number (FIFO within a tick).
-func (a heapEvent) less(b heapEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.key < b.key
-}
-
 // laneTicks is the fast-lane horizon: events with delay < laneTicks are
-// bucketed per tick instead of entering the heap. 256 covers every latency
-// the memory hierarchy composes on the hot path — including a full memory
-// fetch (two crossbar links + directory + DRAM ≈ 137 ticks) — so the heap
-// only sees long think times, backoff tails, and oracle audit timers. The
-// nonempty-bucket scan is a four-word bitmap walk, so widening the horizon
-// does not lengthen the search. Must be a power of two.
+// bucketed per tick at once, the rest wait in the far list. 256 covers every
+// latency the memory hierarchy composes on the hot path — including a full
+// memory fetch (two crossbar links + directory + DRAM ≈ 137 ticks) — so the
+// far list only sees long think times, backoff tails, and oracle audit
+// timers. The nonempty-bucket scan is a four-word bitmap walk, so widening
+// the horizon does not lengthen the search. Must be a power of two.
 const laneTicks = 256
 
 const laneMask = laneTicks - 1
@@ -92,8 +85,8 @@ const laneMask = laneTicks - 1
 const laneWords = laneTicks / 64
 
 // laneBucket is one tick's FIFO of near-future event keys. head indexes
-// the next key to pop; keys append at the tail in sequence order, so a
-// bucket is always sorted.
+// the next key to pop; keys append at the tail in sequence order and far
+// events are inserted by key, so a bucket is always sorted.
 type laneBucket struct {
 	head int
 	evs  []uint64
@@ -148,8 +141,10 @@ type Engine struct {
 	parked  uint64
 	live    uint64
 
-	// heap is a binary min-heap (by heapEvent.less) of far-future events.
-	heap []heapEvent
+	// far holds the events not yet within the lane horizon, in no order;
+	// farAt is the earliest tick among them while far is non-empty.
+	far   []farEvent
+	farAt Tick
 
 	// Executed counts dispatched callbacks (a dead poll's re-arm is not
 	// one); exposed for tests and for the benchmark's event count.
@@ -214,7 +209,45 @@ func (e *Engine) Schedule(delay Tick, call Event) {
 		e.laneLen++
 		return
 	}
-	e.heapPush(heapEvent{at: at, key: k})
+	e.addFar(at, k)
+}
+
+// addFar puts an event due past the lane horizon in the far list.
+func (e *Engine) addFar(at Tick, key uint64) {
+	if len(e.far) == 0 || at < e.farAt {
+		e.farAt = at
+	}
+	e.far = append(e.far, farEvent{at: at, key: key})
+}
+
+// fileFar moves every far event now due within the lane horizon into its
+// bucket, inserted by key, and recomputes farAt. A far event was scheduled
+// at least laneTicks before its tick, earlier than any key the lane filed
+// for that tick, so it goes in ahead of those; such keys exist when
+// RunUntil moved the clock to a deadline and an event was scheduled from
+// there.
+func (e *Engine) fileFar() {
+	kept := e.far[:0]
+	for _, ev := range e.far {
+		if ev.at-e.now >= laneTicks {
+			if len(kept) == 0 || ev.at < e.farAt {
+				e.farAt = ev.at
+			}
+			kept = append(kept, ev)
+			continue
+		}
+		idx := int(ev.at) & laneMask
+		b := &e.lane[idx]
+		b.evs = append(b.evs, ev.key)
+		i := len(b.evs) - 1
+		for ; i > b.head && b.evs[i-1] > ev.key; i-- {
+			b.evs[i] = b.evs[i-1]
+		}
+		b.evs[i] = ev.key
+		e.occ[idx>>6] |= 1 << (uint(idx) & 63)
+		e.laneLen++
+	}
+	e.far = kept
 }
 
 // SetDelayPerturb installs (or, with nil, removes) a delay-perturbation
@@ -234,7 +267,7 @@ func (e *Engine) ScheduleAt(at Tick, call Event) {
 
 // Pending reports how many events and parked polls are waiting in the
 // queue.
-func (e *Engine) Pending() int { return e.laneLen + len(e.heap) }
+func (e *Engine) Pending() int { return e.laneLen + len(e.far) }
 
 // Park files call as slot's parked poll: a waiter that re-checks, every
 // period ticks plus Intn(period+1) drawn from rng when rng is non-nil, a
@@ -281,8 +314,8 @@ func (e *Engine) Wake(kinds WakeMask) {
 // arm draws a parked poll's next delay exactly as its callback would have
 // rescheduled itself — jitter, then perturbation, then a sequence number —
 // and files it in the calendar. A delay past the lane horizon (reachable
-// only under perturbation) makes the poll an ordinary heap event that
-// runs its callback.
+// only under perturbation) makes the poll an ordinary far event that runs
+// its callback.
 func (e *Engine) arm(p *pollSlot, bit uint64) {
 	delay := p.period
 	if p.rng != nil {
@@ -297,7 +330,7 @@ func (e *Engine) arm(p *pollSlot, bit uint64) {
 	k := e.key(p.call)
 	if delay >= laneTicks {
 		e.unpark(p, bit)
-		e.heapPush(heapEvent{at: e.now + delay, key: k})
+		e.addFar(e.now+delay, k)
 		return
 	}
 	p.key = k
@@ -334,11 +367,11 @@ func (e *Engine) nextDue(idx int) (int, uint64) {
 // in-flight event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// nextLane returns the bucket holding the earliest lane event and its tick.
-// Only call with e.laneLen > 0. The walk covers the occupancy bitmap once,
+// nextLane returns the tick of the earliest lane event or due poll. Only
+// call with e.laneLen > 0. The walk covers the occupancy bitmap once,
 // starting at now's bucket: the first word is masked to bits at or after
 // now, the wrapped-around revisit of that word to bits before it.
-func (e *Engine) nextLane() (*laneBucket, Tick) {
+func (e *Engine) nextLane() Tick {
 	s := uint(e.now) & laneMask
 	w0, b0 := int(s>>6), s&63
 	for k := 0; k <= laneWords; k++ {
@@ -352,37 +385,32 @@ func (e *Engine) nextLane() (*laneBucket, Tick) {
 		if x == 0 {
 			continue
 		}
-		idx := w<<6 + bits.TrailingZeros64(x)
-		return &e.lane[idx], e.now + Tick((uint(idx)-s)&laneMask)
+		idx := uint(w<<6 + bits.TrailingZeros64(x))
+		return e.now + Tick((idx-s)&laneMask)
 	}
 	panic("sim: laneLen > 0 but occupancy bitmap empty")
 }
 
-// nextAt returns the tick of the next event without popping it.
+// nextAt returns the tick of the next event without popping it: the
+// earlier of the lane's next tick and the far list's earliest.
 func (e *Engine) nextAt() (Tick, bool) {
 	if e.laneLen > 0 {
-		_, at := e.nextLane()
-		// A heap event can never precede a lane event at an earlier tick,
-		// but at the same tick the lane event still wins only if its seq is
-		// lower; for the peeked *tick* the minimum of the two is exact.
-		if len(e.heap) > 0 && e.heap[0].at < at {
-			return e.heap[0].at, true
+		at := e.nextLane()
+		if len(e.far) > 0 && e.farAt < at {
+			return e.farAt, true
 		}
 		return at, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
-	return 0, false
+	return e.farAt, len(e.far) > 0
 }
 
 // Step drains every event due at the next pending tick (one batch) and
 // returns true, or returns false if the queue is empty. Batching keeps the
 // scheduler out of the per-event path: the bucket for the tick is located
 // once and its FIFO consumed in place, with the (tick, seq) total order
-// preserved — far-future heap events that land on the same tick are
-// interleaved by sequence number, and events a callback schedules with zero
-// delay append to the same bucket and run within the batch. If Stop is
+// preserved — far events that land on the same tick are filed into the
+// bucket by sequence number first, and events a callback schedules with
+// zero delay append to the same bucket and run within the batch. If Stop is
 // called mid-batch the remaining same-tick events stay queued; the next
 // Step resumes the same tick.
 func (e *Engine) Step() bool {
@@ -395,34 +423,35 @@ func (e *Engine) Step() bool {
 
 // stepAt drains the batch due at tick t, which the caller has already
 // located with nextAt (RunUntil checks the tick against its deadline first;
-// passing it on keeps the bitmap walk to once per batch). It merges the
-// tick's lane bucket, the heap events landing on the same tick and the
-// parked polls due in the bucket by sequence number: a dead poll is
-// re-armed at exactly the point of the (tick, seq) order where its
-// callback would have run, so the seq numbers and random draws of
-// everything after it are unchanged.
+// passing it on keeps the bitmap walk to once per batch). It files the far
+// events now within the horizon, then merges the tick's lane bucket with
+// the parked polls due in it by sequence number: a dead poll is re-armed at
+// exactly the point of the (tick, seq) order where its callback would have
+// run, so the seq numbers and random draws of everything after it are
+// unchanged.
 func (e *Engine) stepAt(t Tick) {
 	e.now = t
+	if len(e.far) > 0 && e.farAt-t < laneTicks {
+		e.fileFar()
+	}
 	idx := int(t) & laneMask
 	b := &e.lane[idx]
-	// Whether the heap's minimum lands on this very tick is monotone within
-	// the batch: every pending heap event has at >= t, and a callback's
-	// far-future push lands at >= t+laneTicks, so the flag only changes at a
-	// heapPop — hoisting it keeps the heap peek off the per-event path.
-	// Likewise no poll can join a running batch, since every Park and
-	// re-arm is at least one tick out, so the due set only shrinks.
-	heapSame := len(e.heap) > 0 && e.heap[0].at == t
+	// No far event or poll can join a running batch: every far event is
+	// laneTicks out and every Park and re-arm at least one tick out, so
+	// the due polls only shrink.
 	ps, pkey := e.nextDue(idx)
 	for {
-		lkey, hkey := noKey, noKey
-		if b.head < len(b.evs) {
-			lkey = b.evs[b.head]
-		}
-		if heapSame {
-			hkey = e.heap[0].key
-		}
 		var call Event
-		if pkey < lkey && pkey < hkey {
+		if b.head < len(b.evs) && b.evs[b.head] < pkey {
+			call = Event(b.evs[b.head])
+			b.head++
+			if b.head == len(b.evs) {
+				// Drained: rewind, keeping the backing array for reuse.
+				b.evs = b.evs[:0]
+				b.head = 0
+			}
+			e.laneLen--
+		} else if pkey != noKey {
 			bit := uint64(1) << uint(ps)
 			e.pollCal[idx] &^= bit
 			p := &e.polls[ps]
@@ -433,18 +462,6 @@ func (e *Engine) stepAt(t Tick) {
 			}
 			call = e.unpark(p, bit)
 			ps, pkey = e.nextDue(idx)
-		} else if lkey < hkey {
-			call = Event(lkey)
-			b.head++
-			if b.head == len(b.evs) {
-				// Drained: rewind, keeping the backing array for reuse.
-				b.evs = b.evs[:0]
-				b.head = 0
-			}
-			e.laneLen--
-		} else if heapSame {
-			call = Event(e.heapPop().key)
-			heapSame = len(e.heap) > 0 && e.heap[0].at == t
 		} else {
 			break
 		}
@@ -482,46 +499,4 @@ func (e *Engine) RunUntil(deadline Tick) bool {
 		e.stepAt(at)
 	}
 	return e.Pending() == 0
-}
-
-// heapPush inserts ev into the far-future heap (monomorphic sift-up).
-func (e *Engine) heapPush(ev heapEvent) {
-	h := append(e.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].less(h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	e.heap = h
-}
-
-// heapPop removes the minimum event (monomorphic sift-down).
-func (e *Engine) heapPop() heapEvent {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			m = r
-		}
-		if !h[m].less(h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	e.heap = h
-	return top
 }

@@ -5,9 +5,8 @@ import "testing"
 // BenchmarkEngineScheduleStep measures the raw schedule+dispatch cost of the
 // event engine under the delay mix the simulator actually produces: the
 // dominant near-future delays (0, 1, and an L1-hit-like 1) plus a tail of
-// directory-latency events that exercise the far-future path. The workload
-// keeps a small standing population of events so both the fast lane and the
-// heap stay busy.
+// directory-latency events. The workload keeps a small standing population
+// of events in the fast lane.
 func BenchmarkEngineScheduleStep(b *testing.B) {
 	delays := [8]Tick{0, 1, 1, 0, 1, 45, 1, 97}
 	b.ReportAllocs()
@@ -30,8 +29,8 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineFarFuture isolates the heap path: every event lands beyond
-// the near-future fast lane.
+// BenchmarkEngineFarFuture isolates the far list: every event lands beyond
+// the near-future fast lane and is filed into it once within the horizon.
 func BenchmarkEngineFarFuture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()

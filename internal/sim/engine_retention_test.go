@@ -26,29 +26,30 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestHeapPopReleasesEvents: a drained far-future heap keeps no retired
-// event reachable. A heap record is a tick and a key word with no
-// pointer, so a pop just shrinks the slice and a vacated slot past len()
-// can hold nothing the collector would follow. The walk is checked on
-// types that do hold a pointer, the old func-carrying record among them.
+// TestHeapPopReleasesEvents: a drained far list keeps no retired event
+// reachable. A far record is a tick and a key word with no pointer, so
+// filing it into the lane just shrinks the list and a vacated slot past
+// len() can hold nothing the collector would follow. The walk is checked
+// on types that do hold a pointer, the old func-carrying record among
+// them.
 func TestHeapPopReleasesEvents(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	inc := e.Register(func() { ran++ })
-	// All delays >= laneTicks so every event goes through the heap.
+	// All delays >= laneTicks so every event goes through the far list.
 	for i := 0; i < 100; i++ {
 		e.Schedule(Tick(laneTicks+i), inc)
 	}
-	if len(e.heap) != 100 {
-		t.Fatalf("heap holds %d events, want 100", len(e.heap))
+	if len(e.far) != 100 {
+		t.Fatalf("far list holds %d events, want 100", len(e.far))
 	}
 	for e.Step() {
 	}
 	if ran != 100 || e.Pending() != 0 {
 		t.Fatalf("ran %d events with %d pending, want 100 and 0", ran, e.Pending())
 	}
-	if typ := reflect.TypeOf(e.heap).Elem(); hasPointers(typ) {
-		t.Fatalf("heap record %v holds a pointer", typ)
+	if typ := reflect.TypeOf(e.far).Elem(); hasPointers(typ) {
+		t.Fatalf("far record %v holds a pointer", typ)
 	}
 	type funcRecord struct {
 		at   Tick
@@ -102,8 +103,8 @@ func TestRetiredEventsAreCollectable(t *testing.T) {
 	e := NewEngine()
 	collected := make(chan struct{})
 	nop := e.Register(func() {})
-	// Schedule enough sibling events that the payload's event is an
-	// interior element of the heap and shares the lane with others.
+	// Schedule enough sibling events that the payload's event sits among
+	// others in the far list and, once filed, in its lane bucket.
 	for i := 0; i < 32; i++ {
 		e.Schedule(Tick(i), nop)
 		e.Schedule(Tick(laneTicks+i), nop)

@@ -198,11 +198,11 @@ func TestEnginePropertyMonotonicClock(t *testing.T) {
 
 // TestLaneBucketWrapAroundDrain exercises the batched bucket drain across a
 // full lane revolution: bucket index (t & laneMask) serves tick t and then
-// tick t+laneTicks, with a far-future heap event landing exactly on the
-// wrapped tick. The (tick, seq) total order must hold throughout — the heap
-// event, scheduled first, carries the lowest sequence number at the wrapped
-// tick and must interleave ahead of the lane events that arrive later — and
-// every bucket must rewind once drained.
+// tick t+laneTicks, with a far event landing exactly on the wrapped tick.
+// The (tick, seq) total order must hold throughout — the far event,
+// scheduled first, carries the lowest sequence number at the wrapped tick
+// and must run ahead of the lane events that arrive later — and every
+// bucket must rewind once drained.
 func TestLaneBucketWrapAroundDrain(t *testing.T) {
 	e := NewEngine()
 	type rec struct {
@@ -217,8 +217,8 @@ func TestLaneBucketWrapAroundDrain(t *testing.T) {
 	const base = 7
 	const wrapped = Tick(base + laneTicks) // same bucket index as base
 
-	// Delay >= laneTicks routes through the heap; this event lands on the
-	// wrapped tick with the lowest seq there.
+	// Delay >= laneTicks routes through the far list; this event lands on
+	// the wrapped tick with the lowest seq there.
 	e.Schedule(wrapped, note(100))
 
 	// A FIFO batch at tick base fills bucket index base the first time.
@@ -241,7 +241,7 @@ func TestLaneBucketWrapAroundDrain(t *testing.T) {
 	want := []rec{
 		{base, 0}, {base, 1}, {base, 2},
 		{base + laneTicks - 1, 50},
-		{wrapped, 100}, // heap event first: same tick, lowest seq
+		{wrapped, 100}, // far event first: same tick, lowest seq
 		{wrapped, 200}, {wrapped, 201}, {wrapped, 202},
 	}
 	if len(got) != len(want) {
@@ -262,5 +262,28 @@ func TestLaneBucketWrapAroundDrain(t *testing.T) {
 		if bucket.head != 0 || len(bucket.evs) != 0 {
 			t.Fatalf("bucket %d not rewound after drain: head=%d len=%d", b, bucket.head, len(bucket.evs))
 		}
+	}
+}
+
+// TestFarEventPrecedesLaterLaneEvent: a far event is filed into its lane
+// bucket by key, not appended. RunUntil moves the clock to a deadline
+// inside the far event's horizon without running a batch, so the event is
+// still in the far list when an event scheduled from there lands in the
+// same bucket for the same tick. The far event holds the lower sequence
+// number and must run first.
+func TestFarEventPrecedesLaterLaneEvent(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	far := e.Register(func() { got = append(got, "far") })
+	near := e.Register(func() { got = append(got, "near") })
+	const at = Tick(laneTicks + 10)
+	e.Schedule(at, far)
+	if drained := e.RunUntil(at - 5); drained || e.Now() != at-5 {
+		t.Fatalf("RunUntil(%d): drained %v, now %d", at-5, drained, e.Now())
+	}
+	e.Schedule(5, near)
+	e.Run()
+	if want := []string{"far", "near"}; !reflect.DeepEqual(got, want) || e.Now() != at {
+		t.Fatalf("ran %v ending at tick %d, want %v at tick %d", got, e.Now(), want, at)
 	}
 }

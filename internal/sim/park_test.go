@@ -58,7 +58,7 @@ func newLockWorld(seed uint64, parked, perturb bool, waiters int) *lockWorld {
 		w.perturb = NewRNG(seed ^ 0xabcdef)
 		w.e.SetDelayPerturb(func(d Tick) Tick {
 			// Occasional extra latency, some of it far enough to push a
-			// re-armed poll past the lane horizon onto the heap.
+			// re-armed poll past the lane horizon into the far list.
 			if w.perturb.Intn(6) == 0 {
 				return d + Tick(w.perturb.Intn(320))
 			}
@@ -116,14 +116,14 @@ func (lw *lockWaiter) release() {
 	w.e.Wake(lockKind)
 	lw.rounds--
 	if lw.rounds > 0 {
-		// Some think times go past the lane horizon onto the heap.
+		// Some think times go past the lane horizon into the far list.
 		w.e.Schedule(Tick(lw.rng.Intn(300)), lw.tryFn)
 	}
 }
 
 // background is one event of the randomized stream: it logs, may take or
 // release the lock (a wake issued inside a batch), may stop the engine,
-// and spawns follow-ups with zero, near and far (heap) delays.
+// and spawns follow-ups with zero, near and far delays.
 func (w *lockWorld) background(id int) Event {
 	return w.e.Register(func() {
 		w.nbg++

@@ -89,7 +89,7 @@ func (q *engineQueue) pending() int                { return q.e.Pending() }
 
 // orderProgram is the randomized workload. Every callback logs (tick, id),
 // sometimes stops the run, and schedules up to two more events with zero
-// delay (into the running batch), a lane delay or a heap delay. All its
+// delay (into the running batch), a lane delay or a far delay. All its
 // choices come from rng, so both queues see the same program as long as
 // they dispatch in the same order.
 type orderProgram struct {
