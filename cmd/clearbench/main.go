@@ -405,7 +405,6 @@ func runFarmServer(addr string, sweepFlags *cliutil.SweepFlags, jobDeadline time
 		cliutil.Usage(err)
 	}
 	cfg := farm.Config{
-		Retry:       farm.DefaultRetryPolicy(),
 		JobDeadline: jobDeadline,
 		Metrics:     metrics.NewRegistry(),
 	}

@@ -23,8 +23,9 @@
 //	                                         # memory model
 //
 // Exit status is 0 iff every run survived with zero oracle violations (with
-// -expect-catch: iff a planted fault was caught and shrunk); 2 = usage
-// error.
+// -expect-catch: iff the first failing run is a detector's verdict — the
+// oracle's, the workload verification's or the -axiom checker's — so a
+// panic or a blown wall deadline is no catch); 2 = usage error.
 package main
 
 import (
@@ -241,6 +242,10 @@ func orDash(s string) string {
 func campaign(o campaignOpts) int {
 	start := time.Now()
 	rep := &report{}
+	caught := func(runs int) int {
+		fmt.Printf("clearchaos: planted fault caught after %d run(s) in %v\n", runs, time.Since(start).Round(time.Millisecond))
+		return 0
+	}
 	for i := 0; i < o.runs; i++ {
 		benchName := o.benches[i%len(o.benches)]
 		cfg := o.cfgs[(i/len(o.benches))%len(o.cfgs)]
@@ -268,11 +273,15 @@ func campaign(o campaignOpts) int {
 		}
 		res, fail, hit := harness.RunCheckedCached(o.store, p)
 		if fail == nil && o.axiom {
-			if err := axiomCheck(p, axiomBuf.Bytes()); err != nil {
-				fmt.Printf("run %d %s/%s seed=%d FAILED axiomatic check: %v\n", i, benchName, cfg, p.Seed, err)
+			v, err := axiomCheck(p, axiomBuf.Bytes())
+			if err != nil {
+				fmt.Printf("run %d %s/%s seed=%d: axiomatic check did not run: %v\n", i, benchName, cfg, p.Seed, err)
+				return 1
+			}
+			if !v.OK() {
+				fmt.Printf("run %d %s/%s seed=%d FAILED axiomatic check: %s\n", i, benchName, cfg, p.Seed, v)
 				if o.expect {
-					fmt.Printf("clearchaos: planted fault caught after %d run(s) in %v\n", i+1, time.Since(start).Round(time.Millisecond))
-					return 0
+					return caught(i + 1)
 				}
 				return 1
 			}
@@ -301,8 +310,10 @@ func campaign(o campaignOpts) int {
 			failing := func(cand *fault.Plan) bool {
 				p2 := p
 				p2.FaultPlan = cand
+				// The same failure, not just any: a minimal plan must not
+				// reproduce a deadline in place of an oracle verdict.
 				_, f2 := harness.RunChecked(p2)
-				return f2 != nil
+				return f2 != nil && f2.Kind == fail.Kind
 			}
 			min := fault.ShrinkPlan(plan, failing)
 			fmt.Printf("  minimal failing plan: {%s}\n", min)
@@ -316,9 +327,11 @@ func campaign(o campaignOpts) int {
 			}
 			fmt.Println()
 		}
+		if o.expect && (fail.Kind == harness.FailOracle || fail.Kind == harness.FailVerification) {
+			return caught(i + 1)
+		}
 		if o.expect {
-			fmt.Printf("clearchaos: planted fault caught after %d run(s) in %v\n", i+1, time.Since(start).Round(time.Millisecond))
-			return 0
+			fmt.Printf("clearchaos: run %d failed, but not by a detector's verdict — no planted fault caught\n", i)
 		}
 		return 1
 	}
@@ -333,27 +346,24 @@ func campaign(o campaignOpts) int {
 }
 
 // axiomCheck runs the axiomatic memory-model checker over one run's
-// recorded event stream. The initial-memory image comes from replaying the
-// workload's deterministic setup, so loads of never-overwritten locations
-// resolve instead of being counted ambiguous.
-func axiomCheck(p harness.RunParams, raw []byte) error {
+// recorded event stream and returns its verdict; an error means the stream
+// could not be checked, which is no verdict. The initial-memory image comes
+// from replaying the workload's deterministic setup, so loads of
+// never-overwritten locations resolve instead of being counted ambiguous.
+func axiomCheck(p harness.RunParams, raw []byte) (litmus.Verdict, error) {
 	rd, err := trace.NewReader(bytes.NewReader(raw))
 	if err != nil {
-		return err
+		return litmus.Verdict{}, err
 	}
 	events, err := rd.ReadAll()
 	if err != nil {
-		return err
+		return litmus.Verdict{}, err
 	}
 	initial, err := harness.SetupImage(p)
 	if err != nil {
-		return err
+		return litmus.Verdict{}, err
 	}
-	v := litmus.CheckEvents(events, litmus.CheckOpts{Initial: initial})
-	if !v.OK() {
-		return fmt.Errorf("%s", v)
-	}
-	return nil
+	return litmus.CheckEvents(events, litmus.CheckOpts{Initial: initial}), nil
 }
 
 // enabledKinds renders the plan's active fault kinds as a -faults argument;

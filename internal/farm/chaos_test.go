@@ -194,8 +194,13 @@ func TestFarmChaosCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.State != StateQuarantined || fin.Attempts != 3 {
-		t.Fatalf("poison spec: state=%s attempts=%d, want quarantined after 3 attempts", fin.State, fin.Attempts)
+	if fin.State != StateQuarantined || fin.Attempts != 3 || fin.Kind != harness.FailPanic {
+		t.Fatalf("poison spec: state=%s attempts=%d kind=%q, want quarantined after 3 attempts, kind %q",
+			fin.State, fin.Attempts, fin.Kind, harness.FailPanic)
+	}
+	// A remote sweep's failure keeps the kind the farm reported.
+	if _, rf, _ := cB.Runner()(poison); rf == nil || rf.Kind != harness.FailPanic {
+		t.Fatalf("remote runner failure %+v, want kind %q", rf, harness.FailPanic)
 	}
 	q, err := cB.QuarantineReport()
 	if err != nil {

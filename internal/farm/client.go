@@ -12,6 +12,13 @@ import (
 	"repro/internal/harness"
 )
 
+const (
+	// maxAttempts bounds transport-level retries per request.
+	maxAttempts = 8
+	// pollMax caps the growing interval between job status polls.
+	pollMax = time.Second
+)
+
 // Client talks to a farm server. The zero knobs are production defaults;
 // tests shrink the delays. Transient transport faults — dropped connections,
 // a server mid-drain returning 503 — are retried with bounded backoff, so a
@@ -22,17 +29,13 @@ type Client struct {
 	// HTTP is the underlying client (tests swap in flaky transports).
 	HTTP *http.Client
 
-	// MaxAttempts bounds transport-level retries per request. Default 8.
-	MaxAttempts int
 	// RetryDelay seeds the doubling delay between transport retries
 	// (capped at 2s). Default 50ms.
 	RetryDelay time.Duration
 
 	// PollInterval seeds the growing delay between job status polls
-	// (x1.5, capped at PollMax). Default 25ms.
+	// (x1.5, capped at pollMax). Default 25ms.
 	PollInterval time.Duration
-	// PollMax caps the poll interval. Default 1s.
-	PollMax time.Duration
 	// WaitTimeout bounds how long Wait polls one job. Default 15m.
 	WaitTimeout time.Duration
 }
@@ -47,13 +50,6 @@ func NewClient(addr string) *Client {
 		base: strings.TrimRight(addr, "/"),
 		HTTP: &http.Client{Timeout: 30 * time.Second},
 	}
-}
-
-func (c *Client) attempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 8
 }
 
 func (c *Client) retryDelay() time.Duration {
@@ -77,7 +73,7 @@ func (c *Client) do(method, path string, in, out any) error {
 	}
 	delay := c.retryDelay()
 	var lastErr error
-	for i := 0; i < c.attempts(); i++ {
+	for i := 0; i < maxAttempts; i++ {
 		if i > 0 {
 			time.Sleep(delay)
 			if delay *= 2; delay > 2*time.Second {
@@ -118,7 +114,7 @@ func (c *Client) do(method, path string, in, out any) error {
 			return fmt.Errorf("farm: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(data))
 		}
 	}
-	return fmt.Errorf("farm: %s %s failed after %d attempts: %w", method, path, c.attempts(), lastErr)
+	return fmt.Errorf("farm: %s %s failed after %d attempts: %w", method, path, maxAttempts, lastErr)
 }
 
 // Submit enqueues one run (or attaches to its in-flight twin).
@@ -145,10 +141,6 @@ func (c *Client) Wait(key string) (JobStatus, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
-	}
-	pollMax := c.PollMax
-	if pollMax <= 0 {
-		pollMax = time.Second
 	}
 	deadline := time.Now().Add(timeout)
 	for {
@@ -191,7 +183,7 @@ func (c *Client) QuarantineReport() ([]JobStatus, error) {
 func (c *Client) Runner() harness.RunnerFunc {
 	return func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure, bool) {
 		failWith := func(format string, args ...any) *harness.RunFailure {
-			return p.Failure(fmt.Sprintf(format, args...))
+			return p.Failure(harness.FailOther, fmt.Sprintf(format, args...))
 		}
 		st, err := c.Submit(p)
 		if err != nil {
@@ -209,9 +201,9 @@ func (c *Client) Runner() harness.RunnerFunc {
 			}
 			return rec.Result(p), nil, st.CacheHit
 		case StateQuarantined:
-			return nil, failWith("farm quarantined after %d attempts: %s", st.Attempts, st.Failure), false
+			return nil, p.Failure(st.Kind, fmt.Sprintf("farm quarantined after %d attempts: %s", st.Attempts, st.Failure)), false
 		default:
-			return nil, failWith("farm: %s", st.Failure), false
+			return nil, p.Failure(st.Kind, "farm: "+st.Failure), false
 		}
 	}
 }

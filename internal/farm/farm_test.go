@@ -210,7 +210,7 @@ func TestFarmNonRetryableFailsImmediately(t *testing.T) {
 		Workers: 1,
 		Retry:   fastRetry(),
 		Exec: func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure) {
-			return nil, p.Failure("check: 1 invariant violation(s)")
+			return nil, p.Failure(harness.FailOracle, "check: 1 invariant violation(s)")
 		},
 	})
 	defer srv.Close()
@@ -231,8 +231,8 @@ func TestFarmNonRetryableFailsImmediately(t *testing.T) {
 	if fin.Attempts != 1 {
 		t.Fatalf("oracle violation got %d attempts, want exactly 1", fin.Attempts)
 	}
-	if fin.Retryable {
-		t.Fatal("oracle violation classified retryable")
+	if fin.Retryable || fin.Kind != harness.FailOracle {
+		t.Fatalf("oracle violation reported kind %q, retryable %v; want %q, not retryable", fin.Kind, fin.Retryable, harness.FailOracle)
 	}
 }
 
@@ -523,7 +523,8 @@ func TestRemoteMatrixCarriesFaultPlan(t *testing.T) {
 
 // TestFarmWireCompatibility pins the wire against the earlier flat job
 // form: that body still keys to TestRunSpecGolden's key, and a default run
-// encodes to it plus an empty policy member.
+// encodes to it plus an empty policy member. A status body without a kind,
+// as an older server sends it, decodes to the zero kind.
 func TestFarmWireCompatibility(t *testing.T) {
 	const body = `{"benchmark":"hashmap","config":"C","cores":32,"ops_per_thread":120,"retry_limit":4,"seed":1,"max_ticks":400000000}`
 	const wantKey = "97052b078269df342b86310f7a3c4d30450c962f91b9e7b4f35e01d51dc8ba07"
@@ -551,6 +552,13 @@ func TestFarmWireCompatibility(t *testing.T) {
 	if want := strings.TrimSuffix(body, "}") + `,"policy":""}`; string(enc) != want {
 		t.Fatalf("default run encodes as\n%s\nwant\n%s", enc, want)
 	}
+	var old JobStatus
+	if err := json.Unmarshal([]byte(`{"key":"`+wantKey+`","spec":`+body+`,"state":"failed","attempts":1,"failure":"check: 1 invariant violation(s)"}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.State != StateFailed || old.Kind != harness.FailOther {
+		t.Fatalf("older status body decodes to state %s, kind %q; want failed, the zero kind", old.State, old.Kind)
+	}
 }
 
 // TestFarmRejectsMalformed: every malformed submission is a 400 and
@@ -574,6 +582,7 @@ func TestFarmRejectsMalformed(t *testing.T) {
 		{"/jobs", `{` + job + `,"cores":2,"retry_limit":0}`},
 		{"/jobs", `{` + job + `,"cores":2,"ops_per_thread":0}`},
 		{"/jobs", `{` + job + `,"cores":2,"benchmark":""}`},
+		{"/jobs", `{` + job + `,"cores":2,"benchmark":"nosuch"}`},
 		{"/jobs", `{` + job + `,"cores":2,"fault_plans":{}}`},
 		{"/jobs", `{` + job},
 		// Each of these used to kill the server out of memory in setup.

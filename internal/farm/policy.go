@@ -3,8 +3,9 @@ package farm
 import (
 	"hash/fnv"
 	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // RetryPolicy bounds how the farm retries a failed job — the same shape the
@@ -26,11 +27,6 @@ type RetryPolicy struct {
 	// global RNG, so two runs of the same campaign schedule identically.
 	// Default 0.2; negative disables jitter.
 	JitterFrac float64
-}
-
-// DefaultRetryPolicy returns the farm defaults.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{}.withDefaults()
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -87,19 +83,15 @@ func (p RetryPolicy) Backoff(key string, retry int) time.Duration {
 	return d
 }
 
-// Retryable classifies a RunFailure reason under the farm's policy: host-
-// side flakiness — a worker panic, a blown wall deadline — earns another
-// attempt; a verdict on the simulated run (an oracle violation, livelock
-// included, or a failed workload verification) is a pure function of the
-// run spec that no retry fixes, and fails the job immediately.
-func Retryable(reason string) bool {
-	switch {
-	case strings.Contains(reason, "check:"), // oracle invariant violation
-		strings.Contains(reason, "verification failed"):
-		return false
-	case strings.HasPrefix(reason, "panic:"),
-		strings.Contains(reason, "worker panic"),
-		strings.Contains(reason, "wall deadline"):
+// retryable is the farm's retry decision, made on where a failure was
+// created and never on its text: host-side flakiness — a worker panic, a
+// blown wall deadline — earns another attempt; a verdict on the simulated
+// run (an oracle violation, livelock included, or a failed workload
+// verification) is a pure function of the run spec that no retry fixes,
+// and so is every other failure.
+func retryable(kind harness.FailureKind) bool {
+	switch kind {
+	case harness.FailPanic, harness.FailDeadline:
 		return true
 	}
 	return false

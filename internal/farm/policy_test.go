@@ -1,8 +1,11 @@
 package farm
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
@@ -55,23 +58,54 @@ func TestBackoffNoJitter(t *testing.T) {
 	}
 }
 
+// TestRetryableClassification: the farm's retry decision reads a failure's
+// kind, never its text. A panic or a blown deadline is retried until the
+// breaker quarantines the job; every other kind fails on attempt one, also
+// when its text reads like another kind.
 func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
+		kind   harness.FailureKind
 		reason string
-		want   bool
+		retry  bool
 	}{
-		{"worker panic: runtime error: index out of range", true},
-		{"panic: boom", true},
-		{"harness: hashmap/C seed 1: wall deadline 50ms exceeded", true},
-		{"check: 1 invariant violation(s); first: [tick 3200000 core -1] liveness: livelock: no commit for 3000001 ticks with 4 invocations in flight", false},
-		{"check: 2 invariant violation(s)", false},
-		{"harness: hashmap/C seed 1: verification failed: lost update", false},
-		{"aggregate: no results", false},
-		{"", false},
+		{harness.FailPanic, "worker panic: runtime error: index out of range", true},
+		{harness.FailPanic, "panic: boom", true},
+		{harness.FailDeadline, "harness: hashmap/C seed 1: wall deadline 50ms exceeded", true},
+		{harness.FailOracle, "check: 1 invariant violation(s); first: [tick 3200000 core -1] liveness: livelock: no commit for 3000001 ticks with 4 invocations in flight", false},
+		{harness.FailVerification, "harness: hashmap/C seed 1: verification failed: lost update", false},
+		{harness.FailOther, "aggregate: no results", false},
+		{harness.FailOther, "", false},
+		// The kind decides where the text disagrees.
+		{harness.FailVerification, "harness: hashmap/C seed 1: wall deadline 50ms exceeded", false},
+		{harness.FailPanic, "panic: check: 1 invariant violation(s)", true},
+		{harness.FailOther, "harness: wall deadline", false},
 	}
 	for _, c := range cases {
-		if got := Retryable(c.reason); got != c.want {
-			t.Errorf("Retryable(%q) = %v, want %v", c.reason, got, c.want)
+		srv := NewServer(Config{
+			Workers: 1,
+			Retry:   fastRetry(),
+			Exec: func(p harness.RunParams) (*harness.RunResult, *harness.RunFailure) {
+				return nil, p.Failure(c.kind, c.reason)
+			},
+		})
+		st, err := srv.Submit(quickSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		fin, err := srv.WaitJob(ctx, st.Key)
+		cancel()
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, attempts := StateFailed, 1
+		if c.retry {
+			want, attempts = StateQuarantined, 1+fastRetry().MaxRetries
+		}
+		if fin.State != want || fin.Attempts != attempts || fin.Retryable != c.retry || fin.Kind != c.kind || fin.Failure != c.reason {
+			t.Errorf("kind %q reason %q: state %s after %d attempts, retryable %v, kind %q; want %s after %d, retryable %v",
+				c.kind, c.reason, fin.State, fin.Attempts, fin.Retryable, fin.Kind, want, attempts, c.retry)
 		}
 	}
 }

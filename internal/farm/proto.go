@@ -24,10 +24,10 @@
 package farm
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/harness"
+	"repro/internal/workload"
 )
 
 // maxJobOps caps a job's total invocations, cores × ops_per_thread. Workload
@@ -38,12 +38,13 @@ const maxJobOps = 1 << 20
 // validate is the farm's submit-time check of a run that came from outside,
 // applied before the run is keyed. Beyond what decoding already rejects (an
 // unknown config letter or policy), it refuses what harness.Run would
-// refuse and what could take the whole server down in workload setup: an
-// out-of-range core count, invocation count or table size dies with a fatal
+// refuse, a benchmark the workload registry does not know included, and
+// what could take the whole server down in workload setup: an out-of-range
+// core count, invocation count or table size dies with a fatal
 // out-of-memory error that no recover can catch.
 func validate(p harness.RunParams) error {
-	if p.Benchmark == "" {
-		return errors.New("farm: job has no benchmark")
+	if _, err := workload.New(p.Benchmark); err != nil {
+		return fmt.Errorf("farm: job: %w", err)
 	}
 	if p.OpsPerThread < 1 {
 		return fmt.Errorf("farm: job: ops_per_thread %d < 1", p.OpsPerThread)
@@ -107,7 +108,10 @@ type JobStatus struct {
 	Result []byte `json:"result,omitempty"`
 	// Failure is the last failure reason (failed/quarantined/backoff).
 	Failure string `json:"failure,omitempty"`
-	// Retryable classifies Failure under the farm's retry policy.
+	// Kind is where the last failure was created. An older server sends
+	// none, which decodes as the zero kind, harness.FailOther.
+	Kind harness.FailureKind `json:"kind,omitempty"`
+	// Retryable is the farm's retry decision on Kind.
 	Retryable bool `json:"retryable,omitempty"`
 	// BackoffMS is the delay before the next attempt (backoff state only).
 	BackoffMS int64 `json:"backoff_ms,omitempty"`

@@ -57,15 +57,15 @@ type job struct {
 	key    string
 	params harness.RunParams
 
-	state     State
-	attempts  int
-	cacheHit  bool
-	result    []byte
-	failure   string
-	retryable bool
-	backoff   time.Duration
-	timer     *time.Timer
-	done      chan struct{} // closed on terminal state
+	state    State
+	attempts int
+	cacheHit bool
+	result   []byte
+	failure  string
+	kind     harness.FailureKind
+	backoff  time.Duration
+	timer    *time.Timer
+	done     chan struct{} // closed on terminal state
 }
 
 func (j *job) statusLocked() JobStatus {
@@ -76,7 +76,8 @@ func (j *job) statusLocked() JobStatus {
 		Attempts:  j.attempts,
 		CacheHit:  j.cacheHit,
 		Failure:   j.failure,
-		Retryable: j.retryable,
+		Kind:      j.kind,
+		Retryable: retryable(j.kind),
 	}
 	if j.state == StateDone {
 		st.Result = j.result
@@ -340,17 +341,17 @@ func (s *Server) settle(j *job, payload []byte, hit bool, fail *harness.RunFailu
 		j.state = StateDone
 		j.result = payload
 		j.cacheHit = hit
-		j.failure = ""
+		j.failure, j.kind = "", harness.FailOther
 		if hit {
 			s.cacheHits.Add(1)
 		}
 		close(j.done)
 		return
 	}
-	j.failure = fail.Reason
-	j.retryable = Retryable(fail.Reason)
+	j.failure, j.kind = fail.Reason, fail.Kind
+	retry := retryable(fail.Kind)
 	switch {
-	case j.retryable && j.attempts-1 < s.cfg.Retry.MaxRetries:
+	case retry && j.attempts-1 < s.cfg.Retry.MaxRetries:
 		d := s.cfg.Retry.Backoff(j.key, j.attempts)
 		if s.draining {
 			// Shutdown is waiting; the final attempts run back to back.
@@ -360,7 +361,7 @@ func (s *Server) settle(j *job, payload []byte, hit bool, fail *harness.RunFailu
 		j.backoff = d
 		s.retries.Add(1)
 		j.timer = time.AfterFunc(d, func() { s.requeue(j) })
-	case j.retryable:
+	case retry:
 		// Retry budget exhausted: the breaker opens. The spec sits in the
 		// quarantine report instead of cycling through the queue forever.
 		j.state = StateQuarantined
@@ -402,7 +403,7 @@ func (s *Server) runJob(j *job) (payload []byte, hit bool, fail *harness.RunFail
 	_ = harness.StoreCached(s.cfg.Store, res)
 	b, err := harness.EncodeCacheRecord(res)
 	if err != nil {
-		return nil, false, j.params.Failure("encode result: " + err.Error())
+		return nil, false, j.params.Failure(harness.FailOther, "encode result: "+err.Error())
 	}
 	return b, false, nil
 }
@@ -414,7 +415,7 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			fail = p.Failure(fmt.Sprintf("worker panic: %v", r))
+			fail = p.Failure(harness.FailPanic, fmt.Sprintf("worker panic: %v", r))
 			fail.Stack = string(debug.Stack())
 		}
 	}()

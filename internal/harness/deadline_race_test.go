@@ -16,7 +16,9 @@ import (
 func TestRunCheckedDeadlineRace(t *testing.T) {
 	p := DefaultRunParams("hashmap", ConfigC)
 	p.Cores = 8
-	p.OpsPerThread = 40
+	// At 400 operations per thread the run outlasts its first guard slice
+	// (check.CheckEvery ticks), so the deadline guard runs before it ends.
+	p.OpsPerThread = 400
 	p.Seed = 1
 
 	// Measure the undeadlined runtime to aim the racing deadlines at it.
@@ -50,6 +52,9 @@ func TestRunCheckedDeadlineRace(t *testing.T) {
 			if !strings.Contains(fail.Reason, "wall deadline") {
 				t.Fatalf("deadline %v: failure is not the deadline: %s", d, fail.Reason)
 			}
+			if fail.Kind != FailDeadline {
+				t.Fatalf("deadline %v: failure kind %q, want %q", d, fail.Kind, FailDeadline)
+			}
 			deadlined++
 			continue
 		}
@@ -63,12 +68,13 @@ func TestRunCheckedDeadlineRace(t *testing.T) {
 		}
 		succeeded++
 	}
-	// The generous deadline must always complete; both outcomes occurring at
-	// least somewhere in the sweep is expected but the 1ns case may still
-	// complete on a fast host (completion wins inside the first slice), so
-	// only the success side is asserted.
+	// The generous deadline must always complete, and the 1ns one always
+	// fails at the first guard call, which comes before the run ends.
 	if succeeded == 0 {
 		t.Fatal("no deadline in the sweep allowed the run to complete")
+	}
+	if deadlined == 0 {
+		t.Fatal("no deadline in the sweep stopped the run")
 	}
 }
 

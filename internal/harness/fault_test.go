@@ -191,6 +191,9 @@ func TestWatchdogCatchesPlantedSecondSpecRetry(t *testing.T) {
 	if !strings.Contains(fail.Reason, "speculative") {
 		t.Fatalf("failure reason does not name the violation: %s", fail.Reason)
 	}
+	if fail.Kind != FailOracle {
+		t.Fatalf("failure kind %q, want %q", fail.Kind, FailOracle)
+	}
 }
 
 // TestLostInvalidationFiresAndTraces: a LostInvalidationRate of 1 plants the
@@ -252,6 +255,9 @@ func TestWatchdogCatchesPlantedLivelock(t *testing.T) {
 	}
 	if !strings.Contains(fail.Reason, "liveness: livelock") {
 		t.Fatalf("failure reason does not name the liveness violation: %s", fail.Reason)
+	}
+	if fail.Kind != FailOracle {
+		t.Fatalf("failure kind %q, want %q", fail.Kind, FailOracle)
 	}
 }
 
@@ -315,6 +321,9 @@ func TestMatrixIsolatesRunFailures(t *testing.T) {
 		if !strings.Contains(fl.Reason, "deadline") {
 			t.Fatalf("failure reason does not name the deadline: %s", fl.Reason)
 		}
+		if fl.Kind != FailDeadline {
+			t.Fatalf("failure kind %q, want %q", fl.Kind, FailDeadline)
+		}
 	}
 	if len(m.Cells) != 0 {
 		t.Fatalf("cells aggregated despite every seed failing: %v", m.Cells)
@@ -340,6 +349,43 @@ func TestMatrixRunCheckedErrorPath(t *testing.T) {
 	if fail.Benchmark != "no-such-benchmark" || fail.Seed != p.Seed {
 		t.Fatalf("failure record mislabeled: %+v", fail)
 	}
+	if fail.Kind != FailOther {
+		t.Fatalf("failure kind %q, want the zero kind", fail.Kind)
+	}
+}
+
+// TestRunCheckedFailureKinds: a panic inside the simulator and a failed
+// workload verification come out of real runs typed with their kinds. The
+// tests above check the oracle, deadline and zero kinds.
+func TestRunCheckedFailureKinds(t *testing.T) {
+	panicky := DefaultRunParams("hashmap", ConfigB)
+	panicky.Cores, panicky.OpsPerThread = 4, 24
+	// A delay bound past the tick cap, which fault.Plan.Validate refuses and
+	// Run does not check, makes the engine's delay draw panic.
+	panicky.FaultPlan = &fault.Plan{EventDelayRate: 1, EventDelayMax: 1 << 63}
+	lossy := DefaultRunParams("arrayswap", ConfigB)
+	lossy.Cores, lossy.OpsPerThread = 8, 24
+	lossy.FaultPlan = &fault.Plan{Seed: 1, LostInvalidationRate: 1}
+
+	for _, tc := range []struct {
+		p      RunParams
+		kind   FailureKind
+		reason string
+	}{
+		{panicky, FailPanic, "panic: sim: Intn with non-positive n"},
+		{lossy, FailVerification, "verification failed: arrayswap: element multiset changed"},
+	} {
+		res, fail := RunChecked(tc.p)
+		if res != nil || fail == nil {
+			t.Fatalf("%s/%s: run did not fail", tc.p.Benchmark, tc.p.Config)
+		}
+		if !strings.Contains(fail.Reason, tc.reason) {
+			t.Errorf("%s/%s: failure reason %q does not contain %q", tc.p.Benchmark, tc.p.Config, fail.Reason, tc.reason)
+		}
+		if fail.Kind != tc.kind {
+			t.Errorf("%s/%s: failure kind %q, want %q", tc.p.Benchmark, tc.p.Config, fail.Kind, tc.kind)
+		}
+	}
 }
 
 // TestRunFailureNamesPolicy: failures of one run that differ only in policy
@@ -347,12 +393,12 @@ func TestMatrixRunCheckedErrorPath(t *testing.T) {
 // default-policy failure reads as it always has.
 func TestRunFailureNamesPolicy(t *testing.T) {
 	p := faultTestParams("hashmap", ConfigC)
-	def := p.Failure("boom")
+	def := p.Failure(FailOther, "boom")
 	var err error
 	if p.Policy, err = policy.Parse("ewma"); err != nil {
 		t.Fatal(err)
 	}
-	ewma := p.Failure("boom")
+	ewma := p.Failure(FailOther, "boom")
 	if want := fmt.Sprintf("hashmap/C retry=%d seed=7: boom", p.RetryLimit); def.String() != want {
 		t.Fatalf("default-policy failure renders %q, want %q", def.String(), want)
 	}

@@ -199,6 +199,8 @@ type RunResult struct {
 
 // Run executes one simulation end to end: setup, execution, verification.
 // A verification failure is returned as an error — atomicity was broken.
+// That error, an oracle violation and a blown wall deadline carry their
+// FailureKind on the error chain, where RunChecked reads it.
 func Run(p RunParams) (*RunResult, error) {
 	bench, memory, rng, err := setupWorkload(p)
 	if err != nil {
@@ -253,14 +255,14 @@ func Run(p RunParams) (*RunResult, error) {
 
 	var guard func() error
 	if oracle != nil {
-		guard = oracle.Check
+		guard = func() error { return withKind(FailOracle, oracle.Check()) }
 	}
 	if p.Deadline > 0 {
 		inner := guard
 		start := time.Now()
 		guard = func() error {
 			if time.Since(start) > p.Deadline {
-				return fmt.Errorf("wall deadline %s exceeded at tick %d", p.Deadline, machine.Engine.Now())
+				return withKind(FailDeadline, fmt.Errorf("wall deadline %s exceeded at tick %d", p.Deadline, machine.Engine.Now()))
 			}
 			if inner != nil {
 				return inner()
@@ -279,12 +281,12 @@ func Run(p RunParams) (*RunResult, error) {
 	if oracle != nil {
 		oracle.Finish()
 		if err := oracle.Err(); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s seed %d: %w", p.Benchmark, p.Config, p.Seed, err)
+			return nil, withKind(FailOracle, fmt.Errorf("harness: %s/%s seed %d: %w", p.Benchmark, p.Config, p.Seed, err))
 		}
 	}
 	if err := bench.Verify(memory); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s seed %d: verification failed: %w",
-			p.Benchmark, p.Config, p.Seed, err)
+		return nil, withKind(FailVerification, fmt.Errorf("harness: %s/%s seed %d: verification failed: %w",
+			p.Benchmark, p.Config, p.Seed, err))
 	}
 	res := &RunResult{
 		Params: p,

@@ -309,7 +309,7 @@ func TestRetrySweepTable(t *testing.T) {
 		Parallelism: 4,
 		Runner: func(p RunParams) (*RunResult, *RunFailure, bool) {
 			if p.RetryLimit == 8 {
-				return nil, p.Failure("injected"), false
+				return nil, p.Failure(FailOther, "injected"), false
 			}
 			return &RunResult{Params: p, Stats: &stats.Run{Cycles: cycles[p.RetryLimit], Commits: 1}}, nil, false
 		},
@@ -350,7 +350,7 @@ func TestMatrixParallelismByteIdentical(t *testing.T) {
 			fmt.Fprintf(h, "%s/%s/%d/%d", p.Benchmark, p.Config, p.RetryLimit, p.Seed)
 			v := h.Sum64()
 			if v%5 == 0 || p.Benchmark == "bitcoin" && p.Config == ConfigW && p.RetryLimit == 8 {
-				return nil, p.Failure("injected"), false
+				return nil, p.Failure(FailOther, "injected"), false
 			}
 			s := &stats.Run{Cycles: sim.Tick(100 + v%3*10), Commits: 10 + v%4, Aborts: v % 6}
 			return &RunResult{Params: p, Stats: s, Energy: float64(v % 97)}, nil, v%2 == 0

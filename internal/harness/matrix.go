@@ -322,7 +322,7 @@ func runCell(opts MatrixOptions, k cellKey) (agg *Aggregate, fails []RunFailure,
 	}
 	agg, err := aggregateRuns(results)
 	if err != nil {
-		fails = append(fails, *results[0].Params.Failure("aggregate: " + err.Error()))
+		fails = append(fails, *results[0].Params.Failure(FailOther, "aggregate: "+err.Error()))
 		return nil, fails, hits, misses
 	}
 	agg.CacheHits = hits
