@@ -322,9 +322,6 @@ func (d *Directory) grow() {
 	}
 }
 
-// Topology returns the interconnect model in use.
-func (d *Directory) Topology() noc.Topology { return d.topo }
-
 // link prices one interconnect traversal between core and line's home bank
 // and counts its hops.
 func (d *Directory) link(core int, line mem.LineAddr) sim.Tick {

@@ -173,7 +173,7 @@ func (c *Core) beginSpeculative() {
 // footprints beyond the lockable window — the scope limitation of the
 // multi-address atomic constructs the paper describes in §2.2.
 func (c *Core) tryStaticFootprint() bool {
-	regs := make(map[isa.Reg]uint64, len(c.inv.Regs))
+	var regs [isa.NumRegs]uint64
 	for _, ri := range c.inv.Regs {
 		regs[ri.Reg] = ri.Val
 	}
@@ -267,9 +267,10 @@ func (c *Core) abortNow(reason htm.AbortReason) {
 		c.conflictRetries++
 	}
 	c.decideRetryMode(reason)
+	mode, _ := c.mode.CommitMode()
 	c.pol.OnAbort(policy.Outcome{
 		ProgID:          c.inv.Prog.ID,
-		Mode:            execModeOf(c.mode),
+		Mode:            mode,
 		ConflictRetries: c.conflictRetries,
 	})
 	if c.m.probe != nil {
@@ -294,22 +295,6 @@ func (c *Core) abortNow(reason htm.AbortReason) {
 	c.mode = ModeIdle
 	c.attempt++
 	c.engine().Schedule(c.m.Cfg.AbortPenalty+c.nextBackoff, c.beginAttemptFn)
-}
-
-// execModeOf classifies an execution mode for the policy observation hooks:
-// failed-mode discovery is a speculative execution that already knows it
-// will abort, so both speculative modes feed the same learning signal.
-func execModeOf(m Mode) policy.ExecMode {
-	switch m {
-	case ModeSCL:
-		return policy.ExecSCL
-	case ModeNSCL:
-		return policy.ExecNSCL
-	case ModeFallback:
-		return policy.ExecFallback
-	default:
-		return policy.ExecSpeculative
-	}
 }
 
 // decideRetryMode computes the §4.3 proposal for the next attempt, runs it
@@ -494,7 +479,7 @@ func (c *Core) commitNow() {
 	}
 	c.pol.OnCommit(policy.Outcome{
 		ProgID:          c.inv.Prog.ID,
-		Mode:            execModeOf(mode),
+		Mode:            kind,
 		ConflictRetries: c.conflictRetries,
 	})
 	c.m.Stats.Instructions += c.attemptInstr

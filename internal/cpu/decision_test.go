@@ -10,6 +10,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // decisionDiscState selects the failed-mode discovery state a decision-table
@@ -218,7 +219,7 @@ func TestDecideRetryModeEWMADivergence(t *testing.T) {
 	// 0.125 < 0.2: the policy now refuses to speculate on it.
 	sour := func(c *Core) {
 		for i := 0; i < 3; i++ {
-			c.pol.OnAbort(policy.Outcome{ProgID: 1, Mode: policy.ExecSpeculative})
+			c.pol.OnAbort(policy.Outcome{ProgID: 1, Mode: stats.CommitSpeculative})
 		}
 	}
 

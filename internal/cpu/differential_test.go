@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,11 +11,22 @@ import (
 )
 
 // refExec is a plain Go reference interpreter for loop-free programs: the
-// differential oracle for the simulator's instruction semantics.
-func refExec(p *isa.Program, regs map[isa.Reg]uint64, memory map[mem.Addr]uint64) {
+// differential oracle for the simulator's instruction semantics. It returns
+// the lines the program loads and stores, in first-touch order, each marked
+// with whether a store hits it.
+func refExec(p *isa.Program, regs map[isa.Reg]uint64, memory map[mem.Addr]uint64) (touched []isa.FootprintAccess) {
 	var r [isa.NumRegs]uint64
 	for k, v := range regs {
 		r[k] = v
+	}
+	touch := func(a mem.Addr, written bool) {
+		for i := range touched {
+			if touched[i].Line == a.Line() {
+				touched[i].Written = touched[i].Written || written
+				return
+			}
+		}
+		touched = append(touched, isa.FootprintAccess{Line: a.Line(), Written: written})
 	}
 	pc := 0
 	for steps := 0; steps < 10000; steps++ {
@@ -40,9 +52,13 @@ func refExec(p *isa.Program, regs map[isa.Reg]uint64, memory map[mem.Addr]uint64
 		case isa.OpXor:
 			r[in.Dst] = r[in.Src1] ^ r[in.Src2]
 		case isa.OpLoad:
-			r[in.Dst] = memory[mem.Addr(r[in.Src1]+uint64(in.Imm))]
+			a := mem.Addr(r[in.Src1] + uint64(in.Imm))
+			touch(a, false)
+			r[in.Dst] = memory[a]
 		case isa.OpStore:
-			memory[mem.Addr(r[in.Src1]+uint64(in.Imm))] = r[in.Src2]
+			a := mem.Addr(r[in.Src1] + uint64(in.Imm))
+			touch(a, true)
+			memory[a] = r[in.Src2]
 		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 			a, b := r[in.Src1], r[in.Src2]
 			taken := false
@@ -61,10 +77,11 @@ func refExec(p *isa.Program, regs map[isa.Reg]uint64, memory map[mem.Addr]uint64
 				continue
 			}
 		case isa.OpHalt:
-			return
+			return touched
 		}
 		pc++
 	}
+	return touched
 }
 
 // genRandomProgram builds a random but well-formed AR over a small arena:
@@ -179,6 +196,46 @@ func TestDifferentialSemantics(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvalFootprintMatchesReference: whenever the static evaluator accepts
+// a random program, the footprint it computes from the two preset arena
+// bases alone is exactly what the reference interpreter touches running the
+// program on concrete memory: the same lines, in the same order, with the
+// same written flags. The arena spans eight lines per base, so a path that
+// differs usually touches different lines. The sample must hold both
+// verdicts: programs whose branches read loaded values are refused.
+func TestEvalFootprintMatchesReference(t *testing.T) {
+	const arenaWords = 64
+	a0 := mem.Addr(0x10000)
+	a1 := a0 + arenaWords*8
+	var accepted, refused int
+	for seed := uint64(1); seed <= 2000; seed++ {
+		rng := sim.NewRNG(seed)
+		prog := genRandomProgram(rng, arenaWords)
+		ref := map[mem.Addr]uint64{}
+		for w := 0; w < arenaWords; w++ {
+			ref[a0+mem.Addr(w*8)] = rng.Uint64() % 1000
+			ref[a1+mem.Addr(w*8)] = rng.Uint64() % 1000
+		}
+		want := refExec(prog, map[isa.Reg]uint64{isa.R0: uint64(a0), isa.R1: uint64(a1)}, ref)
+
+		var regs [isa.NumRegs]uint64
+		regs[isa.R0], regs[isa.R1] = uint64(a0), uint64(a1)
+		got, ok := isa.EvalFootprint(prog, regs)
+		if !ok {
+			refused++
+			continue
+		}
+		accepted++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: EvalFootprint = %v, reference touched %v\nprogram:\n%s",
+				seed, got, want, isa.Disassemble(prog))
+		}
+	}
+	if accepted == 0 || refused == 0 {
+		t.Fatalf("sample lacks a verdict: %d accepted, %d refused", accepted, refused)
 	}
 }
 

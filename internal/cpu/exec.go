@@ -41,61 +41,22 @@ func (c *Core) step() {
 	case isa.OpNop:
 		c.advance(1)
 
-	case isa.OpLoadImm:
-		c.regs[in.Dst] = uint64(in.Imm)
-		c.setIndir(in.Dst, false)
-		c.advance(1)
-
-	case isa.OpMov:
-		c.regs[in.Dst] = c.regs[in.Src1]
-		c.setIndir(in.Dst, c.indirOf(in.Src1))
-		c.advance(1)
-
-	case isa.OpAdd:
-		c.regs[in.Dst] = c.regs[in.Src1] + c.regs[in.Src2]
-		c.setIndir(in.Dst, c.indirOf(in.Src1) || c.indirOf(in.Src2))
-		c.advance(1)
-
-	case isa.OpAddImm:
-		c.regs[in.Dst] = c.regs[in.Src1] + uint64(in.Imm)
-		c.setIndir(in.Dst, c.indirOf(in.Src1))
-		c.advance(1)
-
-	case isa.OpSub:
-		c.regs[in.Dst] = c.regs[in.Src1] - c.regs[in.Src2]
-		c.setIndir(in.Dst, c.indirOf(in.Src1) || c.indirOf(in.Src2))
-		c.advance(1)
-
-	case isa.OpMulImm:
-		c.regs[in.Dst] = c.regs[in.Src1] * uint64(in.Imm)
-		c.setIndir(in.Dst, c.indirOf(in.Src1))
-		c.advance(1)
-
-	case isa.OpAndImm:
-		c.regs[in.Dst] = c.regs[in.Src1] & uint64(in.Imm)
-		c.setIndir(in.Dst, c.indirOf(in.Src1))
-		c.advance(1)
-
-	case isa.OpShrImm:
-		c.regs[in.Dst] = c.regs[in.Src1] >> uint64(in.Imm)
-		c.setIndir(in.Dst, c.indirOf(in.Src1))
-		c.advance(1)
-
-	case isa.OpXor:
-		c.regs[in.Dst] = c.regs[in.Src1] ^ c.regs[in.Src2]
-		c.setIndir(in.Dst, c.indirOf(in.Src1) || c.indirOf(in.Src2))
+	case isa.OpLoadImm, isa.OpMov, isa.OpAdd, isa.OpAddImm, isa.OpSub,
+		isa.OpMulImm, isa.OpAndImm, isa.OpShrImm, isa.OpXor:
+		c.regs[in.Dst] = in.ALU(c.regs[in.Src1], c.regs[in.Src2])
+		c.indir = in.Taint(c.indir)
 		c.advance(1)
 
 	case isa.OpRdTsc:
+		// A non-determinism source: Taint marks the destination as an
+		// indirection (§4.1).
 		c.regs[in.Dst] = uint64(c.engine().Now())
-		// A non-determinism source: the hardware marks the destination as
-		// an indirection (§4.1).
-		c.setIndir(in.Dst, true)
+		c.indir = in.Taint(c.indir)
 		c.advance(1)
 
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		taken := c.evalBranch(in)
-		c.disc.RecordBranch(c.indirOf(in.Src1) || c.indirOf(in.Src2))
+		taken := in.Taken(c.regs[in.Src1], c.regs[in.Src2])
+		c.disc.RecordBranch(c.indir&in.SrcMask() != 0)
 		if taken {
 			c.pc = int(in.Imm)
 			c.engine().Schedule(1, c.stepFn)
@@ -180,29 +141,6 @@ func (c *Core) windowExhausted() {
 func (c *Core) advance(cost sim.Tick) {
 	c.pc++
 	c.engine().Schedule(cost, c.stepFn)
-}
-
-func (c *Core) evalBranch(in isa.Instr) bool {
-	a, b := c.regs[in.Src1], c.regs[in.Src2]
-	switch in.Op {
-	case isa.OpBeq:
-		return a == b
-	case isa.OpBne:
-		return a != b
-	case isa.OpBlt:
-		return a < b
-	case isa.OpBge:
-		return a >= b
-	}
-	return false
-}
-
-func (c *Core) setIndir(r isa.Reg, v bool) {
-	if v {
-		c.indir |= 1 << uint(r)
-	} else {
-		c.indir &^= 1 << uint(r)
-	}
 }
 
 func (c *Core) indirOf(r isa.Reg) bool { return c.indir&(1<<uint(r)) != 0 }

@@ -32,7 +32,7 @@ func (c *Core) readData(addr mem.Addr) uint64 {
 // update register and indirection state, record discovery info, advance.
 func (c *Core) completeLoad(in isa.Instr, addr mem.Addr, indirection bool) {
 	c.regs[in.Dst] = c.readData(addr)
-	c.setIndir(in.Dst, true)
+	c.indir = in.Taint(c.indir)
 	line := addr.Line()
 	if c.m.probe != nil {
 		c.m.probe.OnMemAccess(c.id, addr, c.regs[in.Dst], false, c.mode)

@@ -43,52 +43,21 @@ type Analysis struct {
 }
 
 // Analyze performs the static dataflow the hardware indirection bits
-// compute dynamically (§5): a register becomes tainted when it is the
-// destination of a load, and taint propagates through ALU ops. The analysis
-// runs to a fixed point over the (unstructured) control flow so loop-carried
-// taint — the sorted-list curr = curr->next pattern — is found.
+// compute dynamically (§5): Instr.Taint, the rule the interpreter's
+// indirection bits follow, is the transfer function. The analysis runs to a
+// fixed point over the (unstructured) control flow so loop-carried taint —
+// the sorted-list curr = curr->next pattern — is found.
 func Analyze(p *Program) Analysis {
 	a := Analysis{Program: p}
 
 	// taintIn[i] is the set of tainted registers before instruction i.
 	taintIn := make([]uint32, len(p.Code))
-	var srcBuf [4]Reg
-
-	anyTainted := func(taint uint32, regs []Reg) bool {
-		for _, r := range regs {
-			if taint&(1<<uint(r)) != 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	transfer := func(taint uint32, in Instr) uint32 {
-		if !in.Op.WritesDst() {
-			return taint
-		}
-		bit := uint32(1) << uint(in.Dst)
-		switch in.Op {
-		case OpLoad, OpRdTsc:
-			// Loads and non-determinism sources (§4.1: "upon sources of
-			// non-determinism, affected registers should also be marked as
-			// indirections") taint their destination.
-			return taint | bit
-		case OpLoadImm:
-			return taint &^ bit
-		default:
-			if anyTainted(taint, in.SrcRegs(srcBuf[:0])) {
-				return taint | bit
-			}
-			return taint &^ bit
-		}
-	}
 
 	// Fixed-point propagation (programs are tiny; iterate until stable).
 	for changed := true; changed; {
 		changed = false
 		for i, in := range p.Code {
-			out := transfer(taintIn[i], in)
+			out := in.Taint(taintIn[i])
 			propagate := func(to int) {
 				if to < len(p.Code) && taintIn[to]|out != taintIn[to] {
 					taintIn[to] |= out
@@ -109,7 +78,6 @@ func Analyze(p *Program) Analysis {
 		}
 	}
 
-	storesToTainted := false
 	for i, in := range p.Code {
 		taint := taintIn[i]
 		switch {
@@ -122,18 +90,17 @@ func Analyze(p *Program) Analysis {
 			a.Stores++
 			if taint&(1<<uint(in.Src1)) != 0 {
 				a.HasIndirection = true
-				storesToTainted = true
+				a.WritesIndirection = true
 			}
 		case in.Op.IsConditional():
 			a.Branches++
-			if anyTainted(taint, in.SrcRegs(srcBuf[:0])) {
+			if taint&in.SrcMask() != 0 {
 				// Control dependence on a loaded value is treated like a
 				// data dependence (§3).
 				a.HasIndirection = true
 			}
 		}
 	}
-	a.WritesIndirection = storesToTainted
 
 	switch {
 	case !a.HasIndirection:

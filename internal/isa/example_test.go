@@ -45,7 +45,7 @@ func ExampleEvalFootprint() {
 	b.Halt()
 	prog := b.Build(1)
 
-	accesses, ok := isa.EvalFootprint(prog, map[isa.Reg]uint64{
+	accesses, ok := isa.EvalFootprint(prog, [isa.NumRegs]uint64{
 		isa.R0: 0x1000,
 		isa.R1: 0x2040,
 	})

@@ -16,40 +16,15 @@ const maxFootprintSteps = 4096
 // EvalFootprint determines an AR's memory footprint before execution, the
 // way the multi-address atomic proposals of §2.2 (MCAS [33], MAD atomics
 // [16]) require: addresses must be computable from the preset registers
-// alone. It interprets the program's ALU operations concretely, treats every
-// load destination as unknown, and fails (ok=false) as soon as an address or
-// a branch depends on an unknown value — exactly the cases the paper calls
+// alone. It runs the program on the interpreter's instruction rules (ALU,
+// Taken, Taint) from the register values regs, with the Taint set standing
+// for the values it cannot know, and fails (ok=false) as soon as an address
+// or a branch depends on one — exactly the cases the paper calls
 // indirections. On success it returns the distinct lines touched, each
 // marked with whether any store hits it.
-func EvalFootprint(p *Program, regs map[Reg]uint64) (accesses []FootprintAccess, ok bool) {
-	var vals [NumRegs]uint64
-	var unknown uint32
-	for r, v := range regs {
-		vals[r] = v
-	}
-
+func EvalFootprint(p *Program, regs [NumRegs]uint64) (accesses []FootprintAccess, ok bool) {
+	var unknown uint32 // the Taint set: values no static evaluation can know
 	lineIdx := make(map[mem.LineAddr]int)
-	record := func(addr mem.Addr, written bool) {
-		l := addr.Line()
-		if i, seen := lineIdx[l]; seen {
-			if written {
-				accesses[i].Written = true
-			}
-			return
-		}
-		lineIdx[l] = len(accesses)
-		accesses = append(accesses, FootprintAccess{Line: l, Written: written})
-	}
-
-	isUnknown := func(r Reg) bool { return unknown&(1<<uint(r)) != 0 }
-	setUnknown := func(r Reg, u bool) {
-		if u {
-			unknown |= 1 << uint(r)
-		} else {
-			unknown &^= 1 << uint(r)
-		}
-	}
-
 	pc := 0
 	for steps := 0; steps < maxFootprintSteps; steps++ {
 		if pc < 0 || pc >= len(p.Code) {
@@ -57,78 +32,39 @@ func EvalFootprint(p *Program, regs map[Reg]uint64) (accesses []FootprintAccess,
 		}
 		in := p.Code[pc]
 		switch in.Op {
-		case OpNop:
-		case OpLoadImm:
-			vals[in.Dst] = uint64(in.Imm)
-			setUnknown(in.Dst, false)
-		case OpMov:
-			vals[in.Dst] = vals[in.Src1]
-			setUnknown(in.Dst, isUnknown(in.Src1))
-		case OpAdd:
-			vals[in.Dst] = vals[in.Src1] + vals[in.Src2]
-			setUnknown(in.Dst, isUnknown(in.Src1) || isUnknown(in.Src2))
-		case OpAddImm:
-			vals[in.Dst] = vals[in.Src1] + uint64(in.Imm)
-			setUnknown(in.Dst, isUnknown(in.Src1))
-		case OpSub:
-			vals[in.Dst] = vals[in.Src1] - vals[in.Src2]
-			setUnknown(in.Dst, isUnknown(in.Src1) || isUnknown(in.Src2))
-		case OpMulImm:
-			vals[in.Dst] = vals[in.Src1] * uint64(in.Imm)
-			setUnknown(in.Dst, isUnknown(in.Src1))
-		case OpAndImm:
-			vals[in.Dst] = vals[in.Src1] & uint64(in.Imm)
-			setUnknown(in.Dst, isUnknown(in.Src1))
-		case OpShrImm:
-			vals[in.Dst] = vals[in.Src1] >> uint64(in.Imm)
-			setUnknown(in.Dst, isUnknown(in.Src1))
-		case OpXor:
-			vals[in.Dst] = vals[in.Src1] ^ vals[in.Src2]
-			setUnknown(in.Dst, isUnknown(in.Src1) || isUnknown(in.Src2))
-		case OpRdTsc:
-			setUnknown(in.Dst, true)
-		case OpLoad:
-			if isUnknown(in.Src1) {
+		case OpNop, OpRdTsc:
+			// The cycle counter cannot be known statically; Taint below
+			// marks OpRdTsc's destination unknown.
+		case OpLoadImm, OpMov, OpAdd, OpAddImm, OpSub, OpMulImm, OpAndImm, OpShrImm, OpXor:
+			regs[in.Dst] = in.ALU(regs[in.Src1], regs[in.Src2])
+		case OpLoad, OpStore:
+			if unknown&(1<<in.Src1) != 0 {
 				return nil, false // address depends on a loaded value
 			}
-			record(mem.Addr(vals[in.Src1]+uint64(in.Imm)), false)
-			setUnknown(in.Dst, true)
-		case OpStore:
-			if isUnknown(in.Src1) {
-				return nil, false
+			l := mem.Addr(regs[in.Src1] + uint64(in.Imm)).Line()
+			written := in.Op == OpStore
+			if i, seen := lineIdx[l]; seen {
+				accesses[i].Written = accesses[i].Written || written
+			} else {
+				lineIdx[l] = len(accesses)
+				accesses = append(accesses, FootprintAccess{Line: l, Written: written})
 			}
-			record(mem.Addr(vals[in.Src1]+uint64(in.Imm)), true)
-		case OpBeq, OpBne, OpBlt, OpBge:
-			if isUnknown(in.Src1) || isUnknown(in.Src2) {
+		case OpBeq, OpBne, OpBlt, OpBge, OpJump:
+			if unknown&in.SrcMask() != 0 {
 				return nil, false // control depends on a loaded value
 			}
-			a, b := vals[in.Src1], vals[in.Src2]
-			taken := false
-			switch in.Op {
-			case OpBeq:
-				taken = a == b
-			case OpBne:
-				taken = a != b
-			case OpBlt:
-				taken = a < b
-			case OpBge:
-				taken = a >= b
-			}
-			if taken {
+			if in.Taken(regs[in.Src1], regs[in.Src2]) {
 				pc = int(in.Imm)
 				continue
 			}
-		case OpJump:
-			pc = int(in.Imm)
-			continue
-		case OpXAbort:
-			// An explicitly aborting path has no static completion.
-			return nil, false
 		case OpHalt:
 			return accesses, true
 		default:
+			// An explicitly aborting path (OpXAbort) has no static
+			// completion.
 			return nil, false
 		}
+		unknown = in.Taint(unknown)
 		pc++
 	}
 	return nil, false

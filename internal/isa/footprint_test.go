@@ -15,7 +15,7 @@ func TestEvalFootprintDirect(t *testing.T) {
 	b.Halt()
 	p := b.Build(1)
 
-	accesses, ok := EvalFootprint(p, map[Reg]uint64{R0: 0x1000, R1: 0x2000})
+	accesses, ok := EvalFootprint(p, [NumRegs]uint64{R0: 0x1000, R1: 0x2000})
 	if !ok {
 		t.Fatal("direct AR footprint not computable")
 	}
@@ -39,7 +39,7 @@ func TestEvalFootprintComputedAddress(t *testing.T) {
 	b.Store(R8, 0, R9)
 	b.Halt()
 	p := b.Build(1)
-	accesses, ok := EvalFootprint(p, map[Reg]uint64{R0: 0x4000, R1: 3})
+	accesses, ok := EvalFootprint(p, [NumRegs]uint64{R0: 0x4000, R1: 3})
 	if !ok || len(accesses) != 1 {
 		t.Fatalf("ok=%v accesses=%v", ok, accesses)
 	}
@@ -53,7 +53,7 @@ func TestEvalFootprintRejectsIndirection(t *testing.T) {
 	b.Load(R8, R0, 0)
 	b.Load(R9, R8, 0) // address from a loaded value
 	b.Halt()
-	if _, ok := EvalFootprint(b.Build(1), map[Reg]uint64{R0: 0x1000}); ok {
+	if _, ok := EvalFootprint(b.Build(1), [NumRegs]uint64{R0: 0x1000}); ok {
 		t.Fatal("indirection accepted as static footprint")
 	}
 }
@@ -65,7 +65,7 @@ func TestEvalFootprintRejectsDataBranch(t *testing.T) {
 	b.Store(R1, 0, R8)
 	b.Label("skip")
 	b.Halt()
-	if _, ok := EvalFootprint(b.Build(1), map[Reg]uint64{R0: 0x1000, R1: 0x2000}); ok {
+	if _, ok := EvalFootprint(b.Build(1), [NumRegs]uint64{R0: 0x1000, R1: 0x2000}); ok {
 		t.Fatal("loaded-value branch accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestEvalFootprintImmediateLoop(t *testing.T) {
 	b.Jump("loop")
 	b.Label("done")
 	b.Halt()
-	accesses, ok := EvalFootprint(b.Build(1), map[Reg]uint64{R0: 0x8000, R1: 5})
+	accesses, ok := EvalFootprint(b.Build(1), [NumRegs]uint64{R0: 0x8000, R1: 5})
 	if !ok || len(accesses) != 5 {
 		t.Fatalf("ok=%v lines=%d, want 5", ok, len(accesses))
 	}
@@ -94,7 +94,7 @@ func TestEvalFootprintRejectsRdTsc(t *testing.T) {
 	b.RdTsc(R8)
 	b.Store(R8, 0, R14) // address from a non-deterministic source
 	b.Halt()
-	if _, ok := EvalFootprint(b.Build(1), nil); ok {
+	if _, ok := EvalFootprint(b.Build(1), [NumRegs]uint64{}); ok {
 		t.Fatal("rdtsc-derived address accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestEvalFootprintRejectsRunaway(t *testing.T) {
 	b := NewBuilder("forever")
 	b.Label("loop")
 	b.Jump("loop")
-	if _, ok := EvalFootprint(b.Build(1), nil); ok {
+	if _, ok := EvalFootprint(b.Build(1), [NumRegs]uint64{}); ok {
 		t.Fatal("non-terminating program accepted")
 	}
 }

@@ -135,15 +135,6 @@ func (o Op) IsConditional() bool {
 	return false
 }
 
-// WritesDst reports whether the opcode writes its Dst register.
-func (o Op) WritesDst() bool {
-	switch o {
-	case OpLoadImm, OpMov, OpLoad, OpAdd, OpAddImm, OpSub, OpMulImm, OpAndImm, OpShrImm, OpXor, OpRdTsc:
-		return true
-	}
-	return false
-}
-
 // Instr is one instruction. Branch targets are absolute instruction indices
 // carried in Imm.
 type Instr struct {
@@ -154,18 +145,114 @@ type Instr struct {
 	Imm  int64
 }
 
-// SrcRegs appends the source registers the instruction reads to buf and
-// returns it. Address base registers count as sources.
-func (in Instr) SrcRegs(buf []Reg) []Reg {
-	switch in.Op {
-	case OpMov, OpAddImm, OpMulImm, OpAndImm, OpShrImm, OpLoad:
-		buf = append(buf, in.Src1)
-	case OpAdd, OpSub, OpXor, OpBeq, OpBne, OpBlt, OpBge:
-		buf = append(buf, in.Src1, in.Src2)
-	case OpStore:
-		buf = append(buf, in.Src1, in.Src2)
+// The instruction rules below are the ISA's one definition: the cpu
+// interpreter, the Table 1 analyzer (Analyze) and the static-footprint
+// evaluator (EvalFootprint) all execute through them. They run on the
+// interpreter's hottest path, so they must stay small enough to inline, and
+// they take pointer receivers: Instr has too many fields for the compiler
+// to keep in registers, and a value receiver copies it at every call.
+
+// Operand shapes: which registers an opcode reads and what it writes.
+const (
+	readsSrc1 = 1 << iota
+	readsSrc2
+	// writesDst: the opcode writes Dst, which inherits the taint of the
+	// registers it reads (none for OpLoadImm) unless taintsDst is set.
+	writesDst
+	// taintsDst: Dst is load-derived or non-deterministic, so it is
+	// always an indirection source.
+	taintsDst
+)
+
+// shapes holds each opcode's operand shape, the facts SrcMask and Taint are
+// computed from. Indexing by the full uint8 range needs no bounds check;
+// unlisted opcodes read and write nothing.
+var shapes = [256]uint8{
+	OpLoadImm: writesDst,
+	OpMov:     readsSrc1 | writesDst,
+	OpLoad:    readsSrc1 | writesDst | taintsDst,
+	OpStore:   readsSrc1 | readsSrc2,
+	OpAdd:     readsSrc1 | readsSrc2 | writesDst,
+	OpAddImm:  readsSrc1 | writesDst,
+	OpSub:     readsSrc1 | readsSrc2 | writesDst,
+	OpMulImm:  readsSrc1 | writesDst,
+	OpAndImm:  readsSrc1 | writesDst,
+	OpShrImm:  readsSrc1 | writesDst,
+	OpXor:     readsSrc1 | readsSrc2 | writesDst,
+	OpBeq:     readsSrc1 | readsSrc2,
+	OpBne:     readsSrc1 | readsSrc2,
+	OpBlt:     readsSrc1 | readsSrc2,
+	OpBge:     readsSrc1 | readsSrc2,
+	OpRdTsc:   writesDst | taintsDst,
+}
+
+// SrcMask returns the set of registers the instruction reads, one bit per
+// register. Address base registers count as sources.
+func (in *Instr) SrcMask() uint32 {
+	s := uint32(shapes[in.Op])
+	return (s&readsSrc1)<<in.Src1 | (s&readsSrc2>>1)<<in.Src2
+}
+
+// Taint applies the §5 indirection rule: given t, the set of registers
+// holding load-derived values before the instruction, it returns the set
+// after it. A load or a non-determinism source (§4.1: "upon sources of
+// non-determinism, affected registers should also be marked as
+// indirections") taints its destination, any other register write passes
+// on the taint of its sources, and an instruction that writes no register
+// leaves t unchanged.
+func (in *Instr) Taint(t uint32) uint32 {
+	s := shapes[in.Op]
+	switch {
+	case s&writesDst == 0:
+		return t
+	case s&taintsDst != 0 || t&in.SrcMask() != 0:
+		return t | 1<<in.Dst
 	}
-	return buf
+	return t &^ (1 << in.Dst)
+}
+
+// ALU returns the value a register-only instruction (OpLoadImm through
+// OpXor) writes to Dst when Src1 holds a and Src2 holds b.
+func (in *Instr) ALU(a, b uint64) uint64 {
+	imm := uint64(in.Imm)
+	switch in.Op {
+	case OpLoadImm:
+		return imm
+	case OpMov:
+		return a
+	case OpAdd:
+		return a + b
+	case OpAddImm:
+		return a + imm
+	case OpSub:
+		return a - b
+	case OpMulImm:
+		return a * imm
+	case OpAndImm:
+		return a & imm
+	case OpShrImm:
+		return a >> imm
+	case OpXor:
+		return a ^ b
+	}
+	panic("isa: ALU of an instruction that is not register-only")
+}
+
+// Taken reports whether the instruction transfers control to Imm when Src1
+// holds a and Src2 holds b: a conditional branch whose condition holds, or
+// OpJump.
+func (in *Instr) Taken(a, b uint64) bool {
+	switch in.Op {
+	case OpBeq:
+		return a == b
+	case OpBne:
+		return a != b
+	case OpBlt:
+		return a < b
+	case OpBge:
+		return a >= b
+	}
+	return in.Op == OpJump
 }
 
 func (in Instr) String() string {

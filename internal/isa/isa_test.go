@@ -73,22 +73,23 @@ func TestSrcRegs(t *testing.T) {
 		in   Instr
 		want []Reg
 	}{
-		{Instr{Op: OpLoadImm, Dst: R1}, nil},
+		{Instr{Op: OpLoadImm, Dst: R1, Src1: R2}, nil},
+		{Instr{Op: OpMov, Dst: R1, Src1: R2, Src2: R3}, []Reg{R2}},
 		{Instr{Op: OpLoad, Dst: R1, Src1: R2}, []Reg{R2}},
 		{Instr{Op: OpStore, Src1: R3, Src2: R4}, []Reg{R3, R4}},
 		{Instr{Op: OpAdd, Dst: R1, Src1: R2, Src2: R3}, []Reg{R2, R3}},
+		{Instr{Op: OpAddImm, Dst: R1, Src1: Reg(31), Src2: R3}, []Reg{Reg(31)}},
 		{Instr{Op: OpBeq, Src1: R5, Src2: R6}, []Reg{R5, R6}},
+		{Instr{Op: OpRdTsc, Dst: R1, Src1: R2}, nil},
+		{Instr{Op: OpJump, Src1: R2, Src2: R3}, nil},
 	}
 	for _, c := range cases {
-		got := c.in.SrcRegs(nil)
-		if len(got) != len(c.want) {
-			t.Errorf("%v: SrcRegs = %v, want %v", c.in, got, c.want)
-			continue
+		var want uint32
+		for _, r := range c.want {
+			want |= 1 << r
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v: SrcRegs = %v, want %v", c.in, got, c.want)
-			}
+		if got := c.in.SrcMask(); got != want {
+			t.Errorf("%v: SrcMask = %#x, want %#x", c.in, got, want)
 		}
 	}
 }

@@ -133,18 +133,3 @@ func TestAllocNoOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSnapshotRestore(t *testing.T) {
-	m := NewMemory(0x1000)
-	a := m.AllocLine()
-	b := m.AllocLine()
-	m.WriteWord(a, 1)
-	m.WriteWord(b, 2)
-	snap := m.Snapshot([]LineAddr{a.Line(), b.Line()})
-	m.WriteWord(a, 100)
-	m.WriteWord(b+8, 200)
-	m.Restore(snap)
-	if m.ReadWord(a) != 1 || m.ReadWord(b) != 2 || m.ReadWord(b+8) != 0 {
-		t.Fatal("restore did not reinstate snapshot")
-	}
-}

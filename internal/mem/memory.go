@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Memory is the simulated physical memory. Functional state lives here;
 // timing and coherence live in the cache and directory models. Reads of
@@ -20,9 +17,6 @@ type Memory struct {
 	// the address origin + i*WordSize.
 	origin Addr
 	words  []uint64
-	// lineW has one bit per dense line (set once the line has been written),
-	// so FootprintLines stays exact without a per-line structure.
-	lineW []uint64
 	// overflow holds lines written below origin or past the grown dense
 	// region; nil until needed.
 	overflow map[LineAddr]*[WordsPerLine]uint64
@@ -43,8 +37,6 @@ func NewMemory(base Addr) *Memory {
 		next:   base,
 	}
 }
-
-const wordsPerLineShift = 3 // log2(WordsPerLine)
 
 // denseIndex returns the word index of a within the dense region, or ok=false
 // when a precedes the origin.
@@ -70,9 +62,6 @@ func (m *Memory) ensure(i int) {
 	words := make([]uint64, need)
 	copy(words, m.words)
 	m.words = words
-	lineW := make([]uint64, (need>>wordsPerLineShift+63)/64)
-	copy(lineW, m.lineW)
-	m.lineW = lineW
 }
 
 // ReadWord returns the 64-bit word at a, which must be aligned.
@@ -102,8 +91,6 @@ func (m *Memory) WriteWord(a Addr, v uint64) {
 			m.ensure(i)
 		}
 		m.words[i] = v
-		li := i >> wordsPerLineShift
-		m.lineW[li>>6] |= 1 << (uint(li) & 63)
 		return
 	}
 	if m.overflow == nil {
@@ -149,40 +136,4 @@ func (m *Memory) AllocWords(n int, alignment int) Addr {
 // AllocLine reserves one full line-aligned cacheline and returns its base.
 func (m *Memory) AllocLine() Addr {
 	return m.Alloc(LineSize, LineSize)
-}
-
-// FootprintLines reports how many distinct cachelines have been written.
-func (m *Memory) FootprintLines() int {
-	n := len(m.overflow)
-	for _, w := range m.lineW {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Snapshot copies the content of the given lines; used by the HTM model to
-// roll back speculative state on aborts when stores were drained (only the
-// non-speculative NS-CL path writes memory directly, so in practice this is
-// exercised by tests).
-func (m *Memory) Snapshot(lines []LineAddr) map[LineAddr][WordsPerLine]uint64 {
-	out := make(map[LineAddr][WordsPerLine]uint64, len(lines))
-	for _, l := range lines {
-		var data [WordsPerLine]uint64
-		a := l.Base()
-		for w := 0; w < WordsPerLine; w++ {
-			data[w] = m.ReadWord(a + Addr(w*WordSize))
-		}
-		out[l] = data
-	}
-	return out
-}
-
-// Restore writes back a snapshot taken with Snapshot.
-func (m *Memory) Restore(snap map[LineAddr][WordsPerLine]uint64) {
-	for l, data := range snap {
-		a := l.Base()
-		for w := 0; w < WordsPerLine; w++ {
-			m.WriteWord(a+Addr(w*WordSize), data[w])
-		}
-	}
 }

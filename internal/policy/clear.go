@@ -26,13 +26,16 @@ func (p clearPolicy) Decide(ctx *Context) Decision {
 		// which the learned footprint can go stale.
 		return d
 	}
-	shift := ctx.ConflictRetries
-	if shift > 6 {
-		shift = 6
-	}
-	window := int(p.env.BackoffBase) << uint(shift)
-	d.Backoff = sim.Tick(ctx.Rand(window))
+	window := backoffWindow(p.env.BackoffBase, ctx.ConflictRetries)
+	d.Backoff = sim.Tick(ctx.Rand(int(window)))
 	return d
+}
+
+// backoffWindow is the exponential backoff range after conflictRetries
+// conflict-counted retries: base doubled per retry, capped at 2⁶ × base.
+// The policies that back off draw their delay from [0, window).
+func backoffWindow(base sim.Tick, conflictRetries int) uint64 {
+	return uint64(base) << uint(min(conflictRetries, 6))
 }
 
 func (p clearPolicy) BudgetExhausted(conflictRetries int) bool {

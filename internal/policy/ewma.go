@@ -2,7 +2,7 @@ package policy
 
 import (
 	clear "repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // ewmaPolicy is the consequence-style adaptive speculator: per AR, an
@@ -20,7 +20,9 @@ import (
 // only, so the policy stays deterministic without cross-core coupling, at
 // the cost of each core paying its own learning transient.
 type ewmaPolicy struct {
-	env   Env
+	// clearPolicy supplies the retry budget and, above the floor, the
+	// default policy's decision and backoff draw.
+	clearPolicy
 	alpha float64
 	floor float64
 	rate  map[int]float64 // progID -> EWMA of speculative success; absent = optimistic 1.0
@@ -34,30 +36,12 @@ func (p *ewmaPolicy) rateOf(progID int) float64 {
 }
 
 func (p *ewmaPolicy) Decide(ctx *Context) Decision {
-	d := Decision{Mode: ctx.Proposed}
 	if ctx.Proposed == clear.RetrySpeculative && p.rateOf(ctx.ProgID) < p.floor {
 		// The AR has been aborting speculatively often enough that another
 		// speculative attempt is expected to waste work: serialize now.
-		d.Mode = clear.RetryFallback
-		return d
+		return Decision{Mode: clear.RetryFallback}
 	}
-	if p.env.BackoffBase == 0 {
-		return d
-	}
-	if d.Mode == clear.RetrySCL || d.Mode == clear.RetryNSCL {
-		return d
-	}
-	shift := ctx.ConflictRetries
-	if shift > 6 {
-		shift = 6
-	}
-	window := int(p.env.BackoffBase) << uint(shift)
-	d.Backoff = sim.Tick(ctx.Rand(window))
-	return d
-}
-
-func (p *ewmaPolicy) BudgetExhausted(conflictRetries int) bool {
-	return conflictRetries > p.env.RetryLimit
+	return p.clearPolicy.Decide(ctx)
 }
 
 func (p *ewmaPolicy) PreferNonSpec(progID int) bool {
@@ -65,14 +49,14 @@ func (p *ewmaPolicy) PreferNonSpec(progID int) bool {
 }
 
 func (p *ewmaPolicy) OnCommit(o Outcome) {
-	if o.Mode != ExecSpeculative {
+	if o.Mode != stats.CommitSpeculative {
 		return
 	}
 	p.rate[o.ProgID] = (1-p.alpha)*p.rateOf(o.ProgID) + p.alpha
 }
 
 func (p *ewmaPolicy) OnAbort(o Outcome) {
-	if o.Mode != ExecSpeculative {
+	if o.Mode != stats.CommitSpeculative {
 		return
 	}
 	p.rate[o.ProgID] = (1 - p.alpha) * p.rateOf(o.ProgID)

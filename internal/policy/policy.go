@@ -4,6 +4,7 @@ import (
 	clear "repro/internal/core"
 	"repro/internal/htm"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Context is the attempt context handed to Decide after an aborted attempt:
@@ -52,37 +53,14 @@ type Decision struct {
 	Backoff sim.Tick
 }
 
-// ExecMode classifies a finished attempt for the observation hooks.
-type ExecMode uint8
-
-const (
-	// ExecSpeculative covers plain speculative attempts and failed-mode
-	// discovery continuations (both are speculative executions).
-	ExecSpeculative ExecMode = iota
-	ExecSCL
-	ExecNSCL
-	ExecFallback
-)
-
-func (m ExecMode) String() string {
-	switch m {
-	case ExecSCL:
-		return "S-CL"
-	case ExecNSCL:
-		return "NS-CL"
-	case ExecFallback:
-		return "fallback"
-	default:
-		return "speculative"
-	}
-}
-
 // Outcome is one observation fed to a learning policy: an attempt of ProgID
 // finished (committed or aborted) in Mode after ConflictRetries
-// conflict-counted retries.
+// conflict-counted retries. Mode uses the commit-mode vocabulary, so a
+// failed-mode discovery continuation, a speculative execution that already
+// knows it will abort, counts as speculative.
 type Outcome struct {
 	ProgID          int
-	Mode            ExecMode
+	Mode            stats.CommitMode
 	ConflictRetries int
 }
 
@@ -137,7 +115,7 @@ func New(spec Spec, env Env) Policy {
 		if floor == 0 {
 			floor = DefaultFloor
 		}
-		return &ewmaPolicy{env: env, alpha: alpha, floor: floor, rate: make(map[int]float64, 8)}
+		return &ewmaPolicy{clearPolicy: clearPolicy{env: env}, alpha: alpha, floor: floor, rate: make(map[int]float64, 8)}
 	default:
 		return clearPolicy{env: env}
 	}

@@ -6,6 +6,7 @@ import (
 
 	clear "repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestParseCanonical(t *testing.T) {
@@ -200,7 +201,7 @@ func TestEWMALearnsToStopSpeculating(t *testing.T) {
 
 	// Three straight speculative aborts at alpha=0.5: 1.0 -> 0.5 -> 0.25 -> 0.125 < 0.2.
 	for i := 0; i < 3; i++ {
-		p.OnAbort(Outcome{ProgID: prog, Mode: ExecSpeculative})
+		p.OnAbort(Outcome{ProgID: prog, Mode: stats.CommitSpeculative})
 	}
 	if !p.PreferNonSpec(prog) {
 		t.Fatal("AR not below floor after three aborts")
@@ -218,13 +219,13 @@ func TestEWMALearnsToStopSpeculating(t *testing.T) {
 		t.Error("unrelated AR inherited the learned rate")
 	}
 	// Commits recover the rate: 0.125 -> 0.5625 > 0.2.
-	p.OnCommit(Outcome{ProgID: prog, Mode: ExecSpeculative})
+	p.OnCommit(Outcome{ProgID: prog, Mode: stats.CommitSpeculative})
 	if p.PreferNonSpec(prog) {
 		t.Error("AR still below floor after a speculative commit")
 	}
 	// Non-speculative outcomes are not learning signal.
-	p.OnAbort(Outcome{ProgID: prog, Mode: ExecNSCL})
-	p.OnAbort(Outcome{ProgID: prog, Mode: ExecFallback})
+	p.OnAbort(Outcome{ProgID: prog, Mode: stats.CommitNSCL})
+	p.OnAbort(Outcome{ProgID: prog, Mode: stats.CommitFallback})
 	if p.PreferNonSpec(prog) {
 		t.Error("CL/fallback outcomes moved the speculative EWMA")
 	}

@@ -27,11 +27,7 @@ func (p *retryPolicy) Decide(ctx *Context) Decision {
 	if !p.exp || p.env.BackoffBase == 0 {
 		return d
 	}
-	shift := ctx.ConflictRetries
-	if shift > 6 {
-		shift = 6
-	}
-	window := uint64(p.env.BackoffBase) << uint(shift)
+	window := backoffWindow(p.env.BackoffBase, ctx.ConflictRetries)
 	d.Backoff = sim.Tick(fnvMix(p.env.Seed, uint64(p.env.Core), uint64(ctx.ProgID), uint64(ctx.ConflictRetries)) % window)
 	return d
 }

@@ -3,8 +3,8 @@ package runstore
 import "sync"
 
 // Mem is the in-memory Backend: a plain locked map with no persistence. It
-// backs tests and ephemeral farm servers (a farm whose whole value is the
-// in-flight dedup, not the durable cache).
+// backs tests; a farm server started without a cache directory runs with
+// no store at all.
 type Mem struct {
 	mu sync.Mutex
 	m  map[string][]byte

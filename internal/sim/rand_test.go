@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
@@ -65,28 +62,6 @@ func TestFloat64Range(t *testing.T) {
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float64 = %v out of [0,1)", v)
 		}
-	}
-}
-
-// TestPermIsPermutation: Perm(n) is always a permutation of [0, n).
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

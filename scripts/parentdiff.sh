@@ -35,6 +35,12 @@ cmds=(
   "clearchaos -plan planted -configs CW -runs 20 -seed 1"
   "clearbench -quick -csv quick.csv"
   "clearbench -quick -sweep"
+  # Analyze's per-AR indirection flags (Table 1), and config M runs, whose
+  # static footprints come from isa.EvalFootprint.
+  "clearinspect -bench sorted-list"
+  "clearinspect -bench bitcoin"
+  "clearsim -bench arrayswap -config M -cores 16 -ops 40"
+  "clearsim -bench hashmap -config M -cores 16 -ops 40"
   "cleartrace record -mem -bench labyrinth -config B -cores 16 -ops 16 -seed 2 -o labyrinth.trace"
   "cleartrace record -mem -bench bayes -config W -cores 32 -ops 8 -seed 1 -o bayes.trace"
   "cleartrace summary labyrinth.trace"
