@@ -101,7 +101,7 @@ commands:
   diff      compare two runs (trace files or runstore records); silent
             and exit 0 when identical, one line per difference and exit 1
 
-diff also reads a runstore record file (<cache-dir>/<aa>/<key>.json), or
+diff also reads a runstore record file (<cache-dir>/<aa>/<key>.rec), or
 with -cache-dir an abbreviated key prefix.
 
 run 'cleartrace <command> -h' for the command's flags.

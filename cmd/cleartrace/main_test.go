@@ -180,7 +180,7 @@ func TestDiffTraceAgainstRecord(t *testing.T) {
 		t.Fatalf("caching the run: failure %v, hit %v", fail, hit)
 	}
 	key := p.Spec().Key()
-	recFile := filepath.Join(cache, key[:2], key+".json")
+	recFile := filepath.Join(cache, key[:2], key+".rec")
 
 	for _, args := range [][]string{
 		{"diff", "seed3.trace", recFile},

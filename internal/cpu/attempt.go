@@ -177,15 +177,16 @@ func (c *Core) tryStaticFootprint() bool {
 	for _, ri := range c.inv.Regs {
 		regs[ri.Reg] = ri.Val
 	}
-	accesses, ok := isa.EvalFootprint(c.inv.Prog, regs)
+	accesses, ok := isa.EvalFootprint(c.inv.Prog, regs, c.footprint)
+	c.footprint = accesses
 	if !ok || len(accesses) == 0 || len(accesses) > c.disc.ALT.Cap() {
 		return false
 	}
-	lines := make([]mem.LineAddr, len(accesses))
-	for i, a := range accesses {
-		lines[i] = a.Line
+	c.footprintLines = c.footprintLines[:0]
+	for _, a := range accesses {
+		c.footprintLines = append(c.footprintLines, a.Line)
 	}
-	if !cache.FitsSimultaneously(c.m.Cfg.L1, lines) {
+	if !cache.FitsSimultaneously(c.m.Cfg.L1, c.footprintLines) {
 		return false
 	}
 	c.disc.ALT.Reset()

@@ -155,6 +155,11 @@ type Core struct {
 	// an attached probe does not cost one slice allocation per commit.
 	probeLines []mem.LineAddr
 
+	// footprint and footprintLines are tryStaticFootprint's reusable
+	// scratch, so an attempt-0 static evaluation allocates nothing.
+	footprint      []isa.FootprintAccess
+	footprintLines []mem.LineAddr
+
 	// touched records the attempt's distinct lines for Figure 1 (bounded).
 	touched lineset.LineSet
 

@@ -1,7 +1,7 @@
 package cpu
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,12 +205,15 @@ func TestDifferentialSemantics(t *testing.T) {
 // program on concrete memory: the same lines, in the same order, with the
 // same written flags. The arena spans eight lines per base, so a path that
 // differs usually touches different lines. The sample must hold both
-// verdicts: programs whose branches read loaded values are refused.
+// verdicts: programs whose branches read loaded values are refused. One
+// buffer serves every evaluation, as a core's does, so a line left over
+// from an earlier program would show.
 func TestEvalFootprintMatchesReference(t *testing.T) {
 	const arenaWords = 64
 	a0 := mem.Addr(0x10000)
 	a1 := a0 + arenaWords*8
 	var accepted, refused int
+	var buf []isa.FootprintAccess
 	for seed := uint64(1); seed <= 2000; seed++ {
 		rng := sim.NewRNG(seed)
 		prog := genRandomProgram(rng, arenaWords)
@@ -223,13 +226,14 @@ func TestEvalFootprintMatchesReference(t *testing.T) {
 
 		var regs [isa.NumRegs]uint64
 		regs[isa.R0], regs[isa.R1] = uint64(a0), uint64(a1)
-		got, ok := isa.EvalFootprint(prog, regs)
+		got, ok := isa.EvalFootprint(prog, regs, buf)
+		buf = got
 		if !ok {
 			refused++
 			continue
 		}
 		accepted++
-		if !reflect.DeepEqual(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: EvalFootprint = %v, reference touched %v\nprogram:\n%s",
 				seed, got, want, isa.Disassemble(prog))
 		}

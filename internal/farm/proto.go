@@ -77,7 +77,7 @@ const (
 	// StateBackoff: a retryable failure occurred; the job re-enters the
 	// queue after its deterministic backoff delay.
 	StateBackoff State = "backoff"
-	// StateDone: terminal success; Result carries the CacheRecord JSON.
+	// StateDone: terminal success; Result carries the CacheRecord bytes.
 	StateDone State = "done"
 	// StateFailed: terminal non-retryable failure (an oracle violation, a
 	// verification failure — deterministic badness a retry cannot fix).
@@ -103,8 +103,8 @@ type JobStatus struct {
 	// CacheHit reports the result was served from the result store without
 	// executing (a resumed campaign, or a spec another campaign already ran).
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Result is the harness.CacheRecord JSON of a done job — the exact
-	// bytes a local warm sweep would decode.
+	// Result is the encoded harness.CacheRecord of a done job — the exact
+	// bytes a local warm sweep would decode. JSON carries it as base64.
 	Result []byte `json:"result,omitempty"`
 	// Failure is the last failure reason (failed/quarantined/backoff).
 	Failure string `json:"failure,omitempty"`

@@ -3,13 +3,9 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
-	"repro/internal/check"
-	"repro/internal/coherence"
-	"repro/internal/fault"
 	"repro/internal/runstore"
 	"repro/internal/stats"
 )
@@ -19,6 +15,11 @@ import (
 // digest-affecting field is added to RunParams — so every previously cached
 // record is orphaned (its key can no longer be derived) instead of silently
 // replayed with stale semantics.
+//
+// The record layout changed once without a bump: when JSON records gave way
+// to the field-list codec (record.go), the store renamed its records from
+// <key>.json to <key>.rec, and the new name alone orphans every old record,
+// so the run keys and their goldens stayed put.
 const specVersion = 1
 
 // RunSpec is the canonical, versioned text of one run's digest-affecting
@@ -117,44 +118,14 @@ func (p RunParams) Cacheable() bool {
 	return p.TraceWriter == nil
 }
 
-// CacheRecord is the persisted summary of one successful run: everything a
-// RunResult carries except the (non-serializable, caller-owned) RunParams.
-// Only integers and shortest-round-trip float64s are stored, so a JSON
-// round trip is exact and a resumed sweep is byte-identical to an
-// uninterrupted one. Failures are never cached: a resumed sweep recomputes
-// missing *and* failed cells. Exported so offline tools (cleartrace diff)
-// can read runstore payloads without re-deriving the schema.
-type CacheRecord struct {
-	Stats  *stats.Run      `json:"stats"`
-	Dir    coherence.Stats `json:"dir"`
-	Energy float64         `json:"energy"`
-	Faults *fault.Stats    `json:"faults,omitempty"`
-	Oracle *check.Report   `json:"oracle,omitempty"`
-}
-
-// DecodeCacheRecord parses a runstore payload with decodeRecord, the
-// single-pass decoder of exactly the JSON EncodeCacheRecord writes. A
-// payload it does not recognise, or one without stats, is rejected: it is
-// either corrupt or from a foreign schema.
-func DecodeCacheRecord(payload []byte) (*CacheRecord, error) {
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return nil, fmt.Errorf("harness: decode cache record: %w", err)
-	}
-	if rec.Stats == nil {
-		return nil, fmt.Errorf("harness: cache record has no stats (corrupt or foreign)")
-	}
-	return rec, nil
-}
-
 // LookupCached returns the cached result of p from st, if one exists. A nil
 // store, an uncacheable run, or an undecodable record all report a miss; the
 // caller falls back to simulating. The restored RunResult carries p itself
 // as Params.
 //
 // The store does not judge payloads, so this is where a corrupt record is
-// caught: a payload DecodeCacheRecord rejects — torn, not JSON, without
-// stats, or with an unknown member — is quarantined before the miss is
+// caught: a payload DecodeCacheRecord rejects — torn, of a foreign layout,
+// or with data after the record — is quarantined before the miss is
 // reported, and the rerun's Put repairs the slot.
 func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 	if st == nil || !p.Cacheable() {
@@ -171,47 +142,11 @@ func LookupCached(st runstore.Backend, p RunParams) (*RunResult, bool) {
 		return nil, false
 	}
 	if p.Oracle && rec.Oracle == nil {
-		// An oracle run cached before the oracle kept a report: rerun it
-		// rather than replay a result that lacks one.
+		// A record without the report an oracle run needs: rerun it rather
+		// than replay a result that lacks one.
 		return nil, false
 	}
 	return rec.Result(p), true
-}
-
-// Result restores the RunResult of p from its record, so aggregation code
-// is oblivious to where the result came from.
-func (rec *CacheRecord) Result(p RunParams) *RunResult {
-	return &RunResult{
-		Params: p,
-		Stats:  rec.Stats,
-		Dir:    rec.Dir,
-		Energy: rec.Energy,
-		Faults: rec.Faults,
-		Oracle: rec.Oracle,
-	}
-}
-
-// EncodeCacheRecord renders the persisted JSON form of a successful run
-// result — the exact bytes StoreCached writes and the farm server returns to
-// remote clients, so both sides of the wire decode one schema. The record
-// opens with a "spec" member, the canonical text the key was derived from,
-// for a reader auditing the store; decoders check it and drop it, since the
-// content address already guarantees the match.
-func EncodeCacheRecord(res *RunResult) ([]byte, error) {
-	payload, err := json.Marshal(struct {
-		Spec RunSpec `json:"spec"`
-		CacheRecord
-	}{res.Params.Spec(), CacheRecord{
-		Stats:  res.Stats,
-		Dir:    res.Dir,
-		Energy: res.Energy,
-		Faults: res.Faults,
-		Oracle: res.Oracle,
-	}})
-	if err != nil {
-		return nil, fmt.Errorf("harness: encode cache record: %w", err)
-	}
-	return payload, nil
 }
 
 // StoreCached persists a successful run result under its spec key.

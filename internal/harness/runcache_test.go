@@ -309,12 +309,13 @@ func TestRunCachedRoundTrip(t *testing.T) {
 }
 
 // TestLookupCachedQuarantines holds the quarantine contract where it lives
-// now that the store returns payloads unjudged. A truncated record, a
-// non-JSON record, a JSON record with no stats and one with an unknown
-// member are each a LookupCached miss and are each moved to <key>.corrupt
-// byte for byte, after which RunCheckedCached simulates again and repairs
-// the slot while the corpse stays. A valid record that only lacks the
-// oracle report an oracle key needs is a miss left in place.
+// now that the store returns payloads unjudged. A truncated record, bytes
+// that are no record at all, a record that stops after its spec text, one
+// with data after its last field and an empty one are each a LookupCached
+// miss and are each moved to <key>.corrupt byte for byte, after which
+// RunCheckedCached simulates again and repairs the slot while the corpse
+// stays. A valid record that only lacks the oracle report an oracle key
+// needs is a miss left in place.
 func TestLookupCachedQuarantines(t *testing.T) {
 	p := DefaultRunParams("hashmap", ConfigC)
 	p.Cores = 4
@@ -339,7 +340,7 @@ func TestLookupCachedQuarantines(t *testing.T) {
 			t.Fatal(err)
 		}
 		shard := filepath.Join(st.Dir(), key[:2])
-		return st, filepath.Join(shard, key+".json"), filepath.Join(shard, key+".corrupt")
+		return st, filepath.Join(shard, key+".rec"), filepath.Join(shard, key+".corrupt")
 	}
 
 	for _, tc := range []struct {
@@ -348,8 +349,8 @@ func TestLookupCachedQuarantines(t *testing.T) {
 	}{
 		{"truncated", good[:len(good)/2]},
 		{"not JSON", []byte("not json at all")},
-		{"no stats", []byte(`{"spec":"runspec/v1","energy":1}`)},
-		{"unknown member", []byte(`{"ok":true}`)},
+		{"no stats", []byte(recordHeader + "\x0arunspec/v1")},
+		{"unknown member", append(bytes.Clone(good), 0)},
 		{"empty", []byte{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -394,6 +395,57 @@ func TestLookupCachedQuarantines(t *testing.T) {
 			t.Fatalf("a decodable stale record was quarantined: %v", err)
 		}
 	})
+}
+
+// TestLookupCachedIgnoresJSONRecord puts a record of the JSON layout under
+// the name the store gave it before the codec, <key>.json, and looks the run
+// up. The store opens only <key>.rec, so the lookup is a plain miss: the old
+// record is neither read nor quarantined, and the rerun lays its own record
+// down beside it. The rerun's stats match what the JSON record held.
+func TestLookupCachedIgnoresJSONRecord(t *testing.T) {
+	js := testRecords(t)["quick-hashmap-C.json"]
+	old, spec, err := decodeRecordJSON(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultRunParams("hashmap", ConfigC)
+	p.Cores, p.OpsPerThread, p.MaxTicks = 8, 30, 800_000_000
+	if p.Spec() != spec {
+		t.Fatalf("the committed record is not hashmap/C's:\n%s", spec)
+	}
+	st, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := p.Spec().Key()
+	shard := filepath.Join(st.Dir(), key[:2])
+	jsonPath := filepath.Join(shard, key+".json")
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if payload, ok, err := st.Get(key); ok || err != nil {
+		t.Fatalf("Get = %d bytes, %v, %v; want a miss", len(payload), ok, err)
+	}
+	res, fail, hit := RunCheckedCached(st, p)
+	if fail != nil || hit {
+		t.Fatalf("lookup over a JSON record: fail=%v hit=%v; want a simulated run", fail, hit)
+	}
+	if res.Stats.Digest() != old.Stats.Digest() || res.Dir != old.Dir || res.Energy != old.Energy {
+		t.Fatal("the rerun disagrees with the JSON record of the same run")
+	}
+	if got, err := os.ReadFile(jsonPath); err != nil || !bytes.Equal(got, js) {
+		t.Fatalf("the JSON record changed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(shard, key+".corrupt")); !os.IsNotExist(err) {
+		t.Fatalf("the JSON record was quarantined: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(shard, key+".rec")); err != nil {
+		t.Fatalf("the rerun left no record: %v", err)
+	}
 }
 
 // matrixCSV runs the sweep and renders its cell CSV.

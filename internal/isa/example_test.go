@@ -48,7 +48,7 @@ func ExampleEvalFootprint() {
 	accesses, ok := isa.EvalFootprint(prog, [isa.NumRegs]uint64{
 		isa.R0: 0x1000,
 		isa.R1: 0x2040,
-	})
+	}, nil)
 	fmt.Println(ok, len(accesses))
 	for _, a := range accesses {
 		fmt.Println(a.Line, a.Written)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 )
 
@@ -40,7 +41,7 @@ var _ Backend = (*Store)(nil)
 
 // Store is a concurrency-safe, content-addressed result cache: opaque
 // payloads persisted as individual records under a two-level sharded
-// directory (key[:2]/key.json). Every Get reads the record from disk.
+// directory (key[:2]/key.rec). Every Get reads the record from disk.
 //
 // Writes are crash-safe: each record is written to a temp file in its shard
 // directory and atomically renamed into place, so a sweep killed mid-write
@@ -63,6 +64,11 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: filepath.Clean(dir)}, nil
 }
 
+// recordExt names a record file. A file under another name — the
+// <key>.json records of the JSON layout, a quarantined <key>.corrupt — is
+// never opened.
+const recordExt = ".rec"
+
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -76,7 +82,7 @@ func (s *Store) path(key string) string {
 		shard = key[:2]
 	}
 	const sep = string(filepath.Separator)
-	return s.dir + sep + shard + sep + key + ".json"
+	return s.dir + sep + shard + sep + key + recordExt
 }
 
 // Get returns the payload cached under key, or ok=false when the store holds
@@ -102,7 +108,7 @@ func (s *Store) Get(key string) (payload []byte, ok bool, err error) {
 // readFile is os.ReadFile in four syscalls: open, a read into a stack
 // buffer that holds a whole record, the read that sees EOF, and close. An
 // os.File would add the poller's fcntl, an fstat to size the buffer, a
-// finalizer and an fd mutex, all for a 1.1–2.3 KB read. A larger file grows
+// finalizer and an fd mutex, all for a 0.4–0.9 KB read. A larger file grows
 // the buffer onto the heap; the caller always gets an exact-size copy.
 // Errors are *os.PathError, as from os.ReadFile, and syscall.Open, Read and
 // Close take the same arguments on Unix and Windows, so one path serves both.
@@ -140,7 +146,7 @@ func readFile(path string) ([]byte, error) {
 // rerun's Put overwrites the record in place.
 func (s *Store) Quarantine(key string) {
 	p := s.path(key)
-	_ = os.Rename(p, p[:len(p)-len(".json")]+".corrupt")
+	_ = os.Rename(p, p[:len(p)-len(recordExt)]+".corrupt")
 }
 
 // Put persists payload under key: temp file + atomic rename. Re-putting an
@@ -208,12 +214,8 @@ func (s *Store) Resolve(prefix string) (string, error) {
 			return "", fmt.Errorf("runstore: %w", err)
 		}
 		for _, de := range des {
-			name := de.Name()
-			if len(name) <= len(".json") || name[len(name)-len(".json"):] != ".json" {
-				continue
-			}
-			key := name[:len(name)-len(".json")]
-			if len(key) < len(prefix) || key[:len(prefix)] != prefix {
+			key, ok := strings.CutSuffix(de.Name(), recordExt)
+			if !ok || !strings.HasPrefix(key, prefix) {
 				continue
 			}
 			if match != "" && match != key {

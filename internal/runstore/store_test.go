@@ -38,7 +38,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// The record lives at the sharded path, and nothing else (no leftover
 	// temp files from the atomic write protocol).
-	p := filepath.Join(st.Dir(), key[:2], key+".json")
+	p := filepath.Join(st.Dir(), key[:2], key+".rec")
 	if _, err := os.Stat(p); err != nil {
 		t.Fatalf("record not at sharded path: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 }
 
 func TestStoreCorruptRecordQuarantined(t *testing.T) {
-	// The store returns truncated and invalid-JSON records as they are: the
+	// The store returns truncated and invalid records as they are: the
 	// reader judges them and calls Quarantine, which renames the bad file to
 	// <key>.corrupt beside its shard so a crashed (or bit-flipped) cache
 	// never wedges a lookup, and the rerun's Put lays down a fresh record at
@@ -124,7 +124,7 @@ func TestStoreCorruptRecordQuarantined(t *testing.T) {
 			if err := st.Put(key, []byte(`{"ok":true}`)); err != nil {
 				t.Fatal(err)
 			}
-			recPath := filepath.Join(dir, key[:2], key+".json")
+			recPath := filepath.Join(dir, key[:2], key+".rec")
 			if err := os.WriteFile(recPath, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestStoreGetReadEdges(t *testing.T) {
 		t.Fatalf("empty record: Get = %q, %v, %v; want a hit with an empty payload", got, ok, err)
 	}
 
-	if err := os.MkdirAll(filepath.Join(st.Dir(), keyB[:2], keyB+".json"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(st.Dir(), keyB[:2], keyB+".rec"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var pathErr *os.PathError
@@ -313,7 +313,7 @@ func TestStoreResolveStaysInStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(root, "..outside.json"), []byte(`{"stolen":true}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "..outside.rec"), []byte(`{"stolen":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := st.Resolve(".."); err == nil {
@@ -346,7 +346,7 @@ func FuzzStoreResolve(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, p := range []string{filepath.Join(root, "..outside.json"), filepath.Join(st.Dir(), "..stray.json")} {
+	for _, p := range []string{filepath.Join(root, "..outside.rec"), filepath.Join(st.Dir(), "..stray.rec")} {
 		if err := os.WriteFile(p, []byte(`{}`), 0o644); err != nil {
 			f.Fatal(err)
 		}
@@ -371,9 +371,10 @@ func FuzzStoreResolve(f *testing.F) {
 var payloadSink []byte
 
 // BenchmarkStoreGet reads one record through a real Store in a temp
-// directory: the committed 1,370-byte hashmap/C record of the clearbench
-// -quick matrix, the read every warm-sweep lookup makes. CI holds its
-// allocs/op and B/op to a budget.
+// directory, the read every warm-sweep lookup makes. The payload is the
+// committed 1,370-byte JSON form of the clearbench -quick hashmap/C record:
+// the store does not judge payloads, and this one is larger than any codec
+// record of the matrix. CI holds its allocs/op and B/op to a budget.
 func BenchmarkStoreGet(b *testing.B) {
 	rec, err := os.ReadFile(filepath.Join("..", "harness", "testdata", "records", "quick-hashmap-C.json"))
 	if err != nil {

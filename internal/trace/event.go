@@ -270,13 +270,6 @@ func (e Event) ProposedMode() (proposed clear.RetryMode, ok bool) {
 	return clear.RetryMode((e.Arg2 >> endProposedShift) & endModeMask), true
 }
 
-// Overridden reports whether a KindAttemptEnd event records a policy
-// override: the decided next mode differs from the mechanism proposal.
-func (e Event) Overridden() bool {
-	p, ok := e.ProposedMode()
-	return ok && p != e.NextMode()
-}
-
 // packAttemptEnd encodes the retry-mode decision of one abort.
 func packAttemptEnd(next clear.RetryMode, assessed bool, assessment clear.RetryMode, pc int, retries int) uint64 {
 	if pc > maxTrackedPC {
